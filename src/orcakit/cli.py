@@ -98,7 +98,7 @@ def cmd_distance(args):
 def cmd_pretrain(args):
     cfg = _config(args)
     source = load_bundle(cfg.paths["source_bundle"])
-    ckpt = cfg.paths.get("checkpoint") or os.path.join(cfg.out_dir, "checkpoint")
+    ckpt = cfg.path("checkpoint")
     _model, record = pretrain_source(source, cfg, out_dir=ckpt)
     write_report(record, cfg.out_dir)
     print(json.dumps({"checkpoint": ckpt,
@@ -109,10 +109,9 @@ def cmd_pretrain(args):
 def cmd_cache_source(args):
     cfg = _config(args)
     source = load_bundle(cfg.paths["source_bundle"])
-    ckpt = cfg.paths.get("checkpoint") or os.path.join(cfg.out_dir, "checkpoint")
-    params, _meta = ParameterSet.load(ckpt)
+    params, _meta = ParameterSet.load(cfg.path("checkpoint"))
     model = _source_model(cfg, source, params)
-    out = cfg.paths.get("cache") or os.path.join(cfg.out_dir, "cache")
+    out = cfg.path("cache")
     cache, flags = cache_source(model, source, n=args.n, seed=cfg.seed, out_path=out)
     print(json.dumps({"cache": out, "rows": cache.n, "flags": flags}))
     return 0
@@ -121,10 +120,10 @@ def cmd_cache_source(args):
 def cmd_align(args):
     cfg = _config(args)
     target = load_bundle(cfg.paths["target_bundle"])
-    cache = load_bundle(cfg.paths.get("cache") or os.path.join(cfg.out_dir, "cache"))
+    cache = load_bundle(cfg.path("cache"))
     emb_spec, emb_params = embedder_for_bundle(target, cfg, cfg.align.seed)
     emb_params, record = align_embedder(target, cache, emb_spec, emb_params, cfg.align)
-    out = cfg.paths.get("aligned_embedder") or os.path.join(cfg.out_dir, "aligned_embedder")
+    out = cfg.path("aligned_embedder")
     emb_params.save(out, meta={"embedder_spec": emb_spec.to_dict()})
     record["config"] = cfg.to_dict()
     write_report(record, cfg.out_dir)
@@ -141,12 +140,10 @@ def cmd_refine(args):
     val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
     checkpoint = None
     if mode != "scratch":
-        ckpt = cfg.paths.get("checkpoint") or os.path.join(cfg.out_dir, "checkpoint")
-        checkpoint, _ = ParameterSet.load(ckpt)
+        checkpoint, _ = ParameterSet.load(cfg.path("checkpoint"))
     aligned = None
     if mode in ("orca", "orca_layernorm"):
-        path = cfg.paths.get("aligned_embedder") or os.path.join(cfg.out_dir, "aligned_embedder")
-        aligned, _ = ParameterSet.load(path)
+        aligned, _ = ParameterSet.load(cfg.path("aligned_embedder"))
     model, record = refine(target, val, cfg, mode, checkpoint=checkpoint,
                            aligned_embedder=aligned, seed=args.seed)
     eval_path = args.eval_bundle or cfg.paths.get("eval_bundle")
@@ -178,12 +175,10 @@ def cmd_sweep(args):
     seeds = [int(s) for s in args.seeds.split(",")]
     target = load_bundle(cfg.paths["target_bundle"])
     val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
-    ckpt = cfg.paths.get("checkpoint") or os.path.join(cfg.out_dir, "checkpoint")
-    checkpoint, _ = ParameterSet.load(ckpt)
+    checkpoint, _ = ParameterSet.load(cfg.path("checkpoint"))
     aligned_by_seed = {}
     if any(m in ("orca", "orca_layernorm") for m in modes):
-        path = cfg.paths.get("aligned_embedder") or os.path.join(cfg.out_dir, "aligned_embedder")
-        aligned, _ = ParameterSet.load(path)
+        aligned, _ = ParameterSet.load(cfg.path("aligned_embedder"))
         aligned_by_seed = {s: aligned for s in seeds}
     rows = sweep_train_fraction(cfg, fractions, modes, seeds, target, val,
                                 checkpoint, aligned_by_seed)

@@ -4,6 +4,7 @@ settings. Unknown keys are rejected; every field has a documented default."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields, asdict
 
 from .errors import ContractError, FormatError
@@ -69,8 +70,6 @@ class ModelConfig:
     source_patch: int = 2           # patch size of the source-modality embedder
     target_seq_len: int | None = None
     head_mode: str = "classification"
-    classes: int = 4
-    dense_k: int = 1                # dense-head upsampling factor
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "model"):
@@ -94,8 +93,8 @@ class ExperimentConfig:
     )
 
     _PATH_KEYS = (
-        "source_bundle", "target_bundle", "val_bundle", "test_bundle",
-        "eval_bundle", "checkpoint", "cache", "aligned_embedder",
+        "source_bundle", "target_bundle", "val_bundle", "eval_bundle",
+        "checkpoint", "cache", "aligned_embedder",
     )
 
     def __post_init__(self):
@@ -104,6 +103,12 @@ class ExperimentConfig:
         unknown = set(self.paths) - set(self._PATH_KEYS)
         if unknown:
             raise FormatError(f"paths: unknown keys {sorted(unknown)}")
+
+    def path(self, key: str) -> str:
+        """The configured path for `key`, or `out_dir/key` when none is set."""
+        if key not in self._PATH_KEYS:
+            raise ContractError(f"unknown path key {key!r}")
+        return self.paths.get(key) or os.path.join(self.out_dir, key)
 
     @classmethod
     def from_dict(cls, data: dict):

@@ -78,6 +78,8 @@ def sinkhorn_log(cost, a, b, eps=None, max_iter: int = 1000, tol: float = MARGIN
         eps = default_eps(cost)
     if eps <= 0:
         raise ContractError("sinkhorn_log: eps must be positive")
+    if max_iter < 1:
+        raise ContractError("sinkhorn_log: max_iter must be >= 1")
 
     ia = np.flatnonzero(a > 0)
     ib = np.flatnonzero(b > 0)

@@ -14,12 +14,12 @@ from .bundles import Bundle, load_bundle, save_bundle
 from .config import RUN_MODES, ExperimentConfig, StageConfig
 from .distances import (
     LabeledDataset,
+    euclidean_align_grad,
     kmeans_pseudolabels,
-    mmd,
+    mmd_grad,
     otdd,
     otdd_grad,
-    _otdd_solve,
-    pairwise_sq_dists,
+    otdd_subsampled_grad,
 )
 from .errors import ContractError, RunError
 from .models import (
@@ -320,75 +320,27 @@ def target_labels_for_alignment(target: Bundle, emb_spec, emb_params,
     return kmeans_pseudolabels(feats, source_classes, seed=seed)
 
 
-def _mmd_grad(z, zs, bandwidth=None):
-    pooled = np.vstack([z, zs])
-    sq = pairwise_sq_dists(pooled, pooled)
-    if bandwidth is None:
-        med = float(np.median(np.sqrt(sq[np.triu_indices_from(sq, k=1)])))
-        bandwidth = med if med > 0 else 1.0
-    bsz, msz = z.shape[0], zs.shape[0]
-    kzz = np.exp(-sq[:bsz, :bsz] / (2 * bandwidth ** 2))
-    kzs = np.exp(-sq[:bsz, bsz:] / (2 * bandwidth ** 2))
-    kss = np.exp(-sq[bsz:, bsz:] / (2 * bandwidth ** 2))
-    m2 = kzz.mean() + kss.mean() - 2 * kzs.mean()
-    val = float(np.sqrt(max(m2, 0.0)))
-    # dK(x, y)/dx = K * (y - x) / sigma^2
-    gz = (2.0 / bsz ** 2) * ((kzz @ z) - kzz.sum(axis=1)[:, None] * z) / bandwidth ** 2
-    gz -= (2.0 / (bsz * msz)) * ((kzs @ zs) - kzs.sum(axis=1)[:, None] * z) / bandwidth ** 2
-    if val > 1e-12:
-        gz = gz / (2 * val)
-    return val, gz
-
-
 def _alignment_loss_grad(z, labels, src_ds: LabeledDataset, stage: StageConfig,
                          step_seed: int):
-    """Distance value and gradient w.r.t. the reduced embeddings z."""
+    """The configured distance between the batch's reduced embeddings z and
+    the source cache: (value, gradient w.r.t. z, converged)."""
     metric = stage.distance_metric
-    if metric in ("otdd", "otdd-sub"):
-        tgt = LabeledDataset(z, labels)
-        if metric == "otdd":
-            return otdd_grad(tgt, src_ds, eps=stage.eps, seed=step_seed)[:2]
-        total = 0.0
-        grad = np.zeros_like(z)
-        n = z.shape[0]
-        b = stage.subsample_b
-        for label in np.unique(labels):
-            idx = np.flatnonzero(labels == label)
-            w = idx.size / n
-            b_eff = idx.size if b in (None, "full", 0) else min(int(b), idx.size)
-            for r in range(stage.subsample_rounds):
-                rng = make_rng(step_seed, "align_sub", int(label), r)
-                sub = idx if b_eff == idx.size else np.sort(
-                    rng.choice(idx, size=b_eff, replace=False))
-                v, g, _ = otdd_grad(LabeledDataset(z[sub], labels[sub]), src_ds,
-                                    eps=stage.eps, seed=step_seed)
-                total += w * v / stage.subsample_rounds
-                grad[sub] += (w / stage.subsample_rounds) * g
-        return total, grad
-    if metric == "otdd-gaussian":
-        tgt = LabeledDataset(z, labels)
-        plan, _, _, _, _ = _otdd_solve(tgt, src_ds, mode="gaussian", eps=stage.eps,
-                                       seed=step_seed)
-        value = float(np.sqrt(max(plan.value, 0.0)))
-        pi = plan.matrix
-        zs = src_ds.reduced()
-        grad = 2.0 * (pi.sum(axis=1)[:, None] * z - pi @ zs)
-        if value > 0:
-            grad /= 2.0 * value
-        return value, grad
+    tgt = LabeledDataset(z, labels)
+    if metric in ("otdd", "otdd-gaussian"):
+        mode = "gaussian" if metric == "otdd-gaussian" else "exact"
+        return otdd_grad(tgt, src_ds, mode=mode, eps=stage.eps, seed=step_seed)
     if metric == "mmd":
-        return _mmd_grad(z, src_ds.reduced())
+        return (*mmd_grad(z, src_ds.reduced()), True)
+    # these two hand the embedder a gradient in z's dtype, the three above a
+    # float64 one; making them agree would change the aligned checkpoints
+    if metric == "otdd-sub":
+        value, grad, converged = otdd_subsampled_grad(
+            tgt, src_ds, b=stage.subsample_b, rounds=stage.subsample_rounds,
+            seed=step_seed, eps=stage.eps)
+        return value, grad.astype(z.dtype), converged
     if metric == "euclidean":
-        zs = src_ds.reduced()
-        k = min(z.shape[0], zs.shape[0])
-        rng = make_rng(step_seed, "euclid_pairing")
-        ia = rng.permutation(z.shape[0])[:k]
-        ib = rng.permutation(zs.shape[0])[:k]
-        diff = z[ia] - zs[ib]
-        value = float(np.mean(np.sum(diff * diff, axis=1)))
-        grad = np.zeros_like(z)
-        grad[ia] = 2.0 * diff / k
-        return value, grad
+        value, grad = euclidean_align_grad(z, src_ds.reduced(), seed=step_seed)
+        return value, grad.astype(z.dtype), True
     raise ContractError(f"unknown distance metric {metric!r}")
 
 
@@ -399,7 +351,9 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
 
     OTDD gradients use the envelope rule: plans are re-solved each step with
     the current embeddings, then frozen while the quadratic cost terms are
-    backpropagated. The exact full-set OTDD is logged every epoch.
+    backpropagated. The exact full-set OTDD is logged every epoch. The
+    record's `converged` is false if any step's objective or any per-epoch
+    exact OTDD left a Sinkhorn solve unconverged.
     """
     src_ds = cache_dataset(cache)
     if align_labels is None:
@@ -414,6 +368,7 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
                     eps=stage.eps, seed=stage.seed)
 
     rep0 = exact_distance()
+    converged = rep0.converged
     epochs_log = [{"epoch": 0, "distance": None, "distance_exact": rep0.value,
                    "lr": None}]
     step = 0
@@ -426,8 +381,9 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
             x = target.features[idx]
             seq, tape = embedder_forward(emb_spec, emb_params, x)
             z = seq.mean(axis=1)
-            value, gz = _alignment_loss_grad(z, align_labels[idx], src_ds,
-                                             stage, step_seed=step)
+            value, gz, ok = _alignment_loss_grad(z, align_labels[idx], src_ds,
+                                                 stage, step_seed=step)
+            converged = converged and ok
             if not np.isfinite(value):
                 raise RunError(
                     f"alignment distance NaN at epoch {epoch}, batch rows {idx[:8].tolist()}"
@@ -437,6 +393,7 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
             opt.step(grads, lr)
             losses.append(value)
         rep = exact_distance()
+        converged = converged and rep.converged
         epochs_log.append({
             "epoch": epoch,
             "distance": float(np.mean(losses)) if losses else None,
@@ -451,6 +408,7 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
             "initial_otdd": epochs_log[0]["distance_exact"],
             "final_otdd": epochs_log[-1]["distance_exact"],
         },
+        "converged": converged,
         "timing": {"wall_seconds": time.perf_counter() - t0},
     }
     return emb_params, record
@@ -555,14 +513,14 @@ def run_pipeline(cfg: ExperimentConfig, mode: str | None = None):
     target = load_bundle(cfg.paths["target_bundle"])
     val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
 
-    ckpt_path = cfg.paths.get("checkpoint") or os.path.join(cfg.out_dir, "checkpoint")
+    ckpt_path = cfg.path("checkpoint")
     if os.path.exists(os.path.join(ckpt_path, "manifest.json")):
         checkpoint, _meta = ParameterSet.load(ckpt_path)
     else:
         model, _rec = pretrain_source(source, cfg, out_dir=ckpt_path)
         checkpoint = model.params
 
-    cache_path = cfg.paths.get("cache") or os.path.join(cfg.out_dir, "cache")
+    cache_path = cfg.path("cache")
     if os.path.exists(os.path.join(cache_path, "manifest.json")):
         cache = load_bundle(cache_path)
     else:

@@ -1,6 +1,7 @@
 """Experiment configuration parsing and validation."""
 
 import json
+import os
 
 import pytest
 
@@ -55,10 +56,19 @@ class TestExperimentConfig:
             ExperimentConfig(mode="turbo")
         with pytest.raises(FormatError):
             ExperimentConfig.from_dict({"extra": 1})
-        with pytest.raises(FormatError):
-            ExperimentConfig(paths={"weights": "x"})
-        with pytest.raises(FormatError):
-            ExperimentConfig.from_dict({"model": {"depth": 4}})
+        for path_key in ("weights", "test_bundle"):
+            with pytest.raises(FormatError):
+                ExperimentConfig(paths={path_key: "x"})
+        for model_key in ("depth", "classes", "dense_k"):
+            with pytest.raises(FormatError):
+                ExperimentConfig.from_dict({"model": {model_key: 4}})
+
+    def test_path_defaults_under_out_dir(self):
+        c = ExperimentConfig(out_dir="o", paths={"cache": "c"})
+        assert c.path("cache") == "c"
+        assert c.path("checkpoint") == os.path.join("o", "checkpoint")
+        with pytest.raises(ContractError):
+            c.path("weights")
 
     def test_bad_file(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -80,6 +80,11 @@ class TestSinkhornLog:
         plan = sinkhorn_log(cost, uniform(4), uniform(4), eps=1e-4, max_iter=2)
         assert not plan.converged
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ContractError, match="max_iter"):
+            sinkhorn_log(np.ones((2, 2)), uniform(2), uniform(2), eps=0.1, max_iter=max_iter)
+
 
 class TestExactOtEnum:
     def test_identity_assignment(self):

@@ -4,13 +4,23 @@ import os
 
 import numpy as np
 import pytest
+from conftest import fd_check
 
 from orcakit.bundles import synth_advect1d, synth_blobs2d, synth_spectra1d
-from orcakit.config import ExperimentConfig, StageConfig
+from orcakit.config import DISTANCE_METRICS, ExperimentConfig, StageConfig
+from orcakit.distances import (
+    LabeledDataset,
+    euclidean_align,
+    mmd,
+    mmd_grad,
+    otdd,
+    otdd_subsampled,
+)
 from orcakit.errors import ContractError
 from orcakit.models import ParameterSet
 from orcakit.pipeline import (
     Optimizer,
+    _alignment_loss_grad,
     align_embedder,
     assemble_refine_model,
     cache_source,
@@ -28,12 +38,14 @@ from orcakit.pipeline import (
     target_labels_for_alignment,
     worker_count,
 )
+from orcakit.report import report_schema
+from orcakit.tensor import make_rng
 
 
 def small_config(**overrides):
     base = {
         "model": {"layers": 1, "heads": 2, "embed_dim": 16, "seq_len": 16,
-                  "source_patch": 2, "classes": 4},
+                  "source_patch": 2},
         "pretrain": {"epochs": 4, "batch_size": 16, "lr": 3e-3, "schedule_period": 100},
         "align": {"epochs": 2, "batch_size": 16, "lr": 1e-3},
         "refine": {"epochs": 2, "batch_size": 16, "lr": 1e-3,
@@ -255,6 +267,15 @@ class TestAlignment:
         vals = [e["distance"] for e in rec["epochs"][1:]]
         assert all(np.isfinite(v) for v in vals)
 
+    @pytest.mark.parametrize("eps,converged", [(None, True), (1e-4, False)])
+    def test_align_records_convergence(self, eps, converged):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg, _, cache, tgt, emb_spec, emb_params = self._setup(
+            align_overrides={"eps": eps, "epochs": 1})
+        _, rec = align_embedder(tgt, cache, emb_spec, emb_params, cfg.align)
+        assert rec["converged"] is converged
+        jsonschema.validate({**rec, "config": cfg.to_dict()}, report_schema())
+
     def test_only_embedder_moves(self):
         cfg, _, cache, tgt, emb_spec, emb_params = self._setup()
         names_before = set(emb_params.names())
@@ -276,6 +297,60 @@ class TestAlignment:
         emb_spec, emb_params = embedder_for_bundle(tgt, cfg, 0)
         labels = target_labels_for_alignment(tgt, emb_spec, emb_params, 4, seed=0)
         assert np.array_equal(labels, tgt.labels)
+
+
+# b = 6 is larger than the 4-row class 0, so its draws repeat rows
+OBJECTIVES = [(m, "full") for m in DISTANCE_METRICS] + [("otdd-sub", 6)]
+
+
+@pytest.mark.parametrize("metric,b", OBJECTIVES)
+def test_alignment_objective_is_the_library(metric, b):
+    stage = StageConfig(distance_metric=metric, subsample_b=b)
+    rng = make_rng(31, "objective")
+    labels = np.repeat([0, 1], [4, 8])
+    z = rng.normal(size=(12, 4)) + 2.0 * labels[:, None]
+
+    # the value is the library function's on the same inputs and seed
+    src_labels = np.repeat([0, 1], 8)
+    src = LabeledDataset(rng.normal(size=(16, 4)) + src_labels[:, None], src_labels)
+    value, grad, _ = _alignment_loss_grad(z, labels, src, stage, step_seed=3)
+    zs = src.reduced()
+    tgt = LabeledDataset(z, labels)
+    if metric == "mmd":
+        assert value == mmd(z, zs)
+    elif metric == "euclidean":
+        assert value == euclidean_align(z, zs, seed=3)
+    else:
+        if metric == "otdd-sub":
+            ref = otdd_subsampled(tgt, src, b=b, seed=3).value
+        else:
+            mode = "gaussian" if metric == "otdd-gaussian" else "exact"
+            ref = otdd(tgt, src, mode=mode, seed=3).value
+        assert value == pytest.approx(ref, rel=1e-12, abs=0)
+    assert grad.shape == z.shape
+
+    # Finite differences. The envelope gradient is the exact gradient of the
+    # OTDD value only where no transport plan moves with the cost, so a
+    # one-row source, which fixes every plan by its marginals, checks the
+    # gradient's assembly at default settings. The Gaussian label-cost
+    # gradient and the median bandwidth's dependence on z are left out by
+    # design (see `otdd_grad` and `mmd_grad`); MMD is checked at a fixed
+    # bandwidth instead.
+    fd_rng = make_rng(32, "fd")
+    if metric == "otdd-gaussian":
+        return
+    if metric == "mmd":
+        value, grad = mmd_grad(z, zs, bandwidth=1.5)
+        err = fd_check(lambda p: mmd_grad(p["z"], zs, bandwidth=1.5)[0],
+                       {"z": z.copy()}, {"z": grad}, fd_rng)
+    else:
+        point = LabeledDataset(rng.normal(size=(1, 4)), np.array([0]))
+        _, grad, converged = _alignment_loss_grad(z, labels, point, stage, step_seed=3)
+        assert converged
+        err = fd_check(lambda p: _alignment_loss_grad(p["z"], labels, point, stage,
+                                                      step_seed=3)[0],
+                       {"z": z.copy()}, {"z": grad}, fd_rng)
+    assert err < 1e-4
 
 
 class TestRefine:

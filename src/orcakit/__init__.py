@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .models import Model, ParameterSet
-from .ot import TransportPlan, exact_ot_enum, gaussian_w2, sinkhorn_log
+from .ot import TransportPlan, gaussian_w2, sinkhorn_log
 from .pipeline import run_pipeline, sweep_train_fraction
 from .report import metric, performance_profile, read_report, write_report
 
@@ -37,7 +37,7 @@ __all__ = [
     "ContractError", "FormatError", "NumericError", "OrcaError", "RunError",
     "ShapeError",
     "Model", "ParameterSet",
-    "TransportPlan", "exact_ot_enum", "gaussian_w2", "sinkhorn_log",
+    "TransportPlan", "gaussian_w2", "sinkhorn_log",
     "run_pipeline", "sweep_train_fraction",
     "metric", "performance_profile", "read_report", "write_report",
 ]

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bundles import load_bundle, load_csv, save_bundle, synth_task
-from .config import ExperimentConfig
+from .config import DISTANCE_METRICS, ExperimentConfig
 from .distances import LabeledDataset, euclidean_align, mmd, otdd, otdd_subsampled
 from .errors import NumericError, OrcaError
 from .models import ParameterSet
@@ -58,10 +58,7 @@ def _labeled(bundle):
 
 def cmd_synth(args):
     params = {}
-    for key in ("n", "size", "length", "classes"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    for key in ("noise", "beta"):
+    for key in ("n", "size", "length", "classes", "noise", "beta"):
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
     bundle = synth_task(args.kind, seed=args.seed, **params)
@@ -248,8 +245,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("distance", help="distance between two bundles")
-    sp.add_argument("--metric", required=True,
-                    choices=["otdd", "otdd-gaussian", "otdd-sub", "mmd", "euclidean"])
+    sp.add_argument("--metric", required=True, choices=DISTANCE_METRICS)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -269,8 +265,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("align", help="stage 2: embedder alignment")
     add_common(sp)
-    sp.add_argument("--metric",
-                    choices=["otdd", "otdd-gaussian", "otdd-sub", "mmd", "euclidean"])
+    sp.add_argument("--metric", choices=DISTANCE_METRICS)
     sp.set_defaults(func=cmd_align)
 
     sp = sub.add_parser("refine", help="stage 3: fine-tune on the target task")

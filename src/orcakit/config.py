@@ -69,7 +69,7 @@ class ModelConfig:
     seq_len: int = 64
     source_patch: int = 2           # patch size of the source-modality embedder
     target_seq_len: int | None = None
-    head_mode: str = "classification"
+    head_mode: str = "classification"  # must match the target bundle's label_kind
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "model"):

@@ -115,14 +115,13 @@ def fit_label_conditionals(ds: LabeledDataset, ridge: float | None = None) -> li
     return out
 
 
-def _class_subsample(idx: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    if idx.size <= cap:
+def _class_subsample(idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    if idx.size <= CAP_PER_CLASS:
         return idx
-    return np.sort(rng.choice(idx, size=cap, replace=False))
+    return np.sort(rng.choice(idx, size=CAP_PER_CLASS, replace=False))
 
 
-def _class_pair_solves(src, tgt, src_features, tgt_features, mode, eps,
-                       cap_per_class, seed, max_iter=1000):
+def _class_pair_solves(src, tgt, src_features, tgt_features, mode, eps, seed, max_iter=1000):
     """The class-pair loop behind `label_distance_matrix` and the OTDD core.
 
     Returns (sq, pairs, converged): the squared W2 distances between target
@@ -147,8 +146,8 @@ def _class_pair_solves(src, tgt, src_features, tgt_features, mode, eps,
                 sq[i, j] = w * w
                 continue
             rng = make_rng(seed, "label_dist", ct.label, cs.label)
-            ti = _class_subsample(ct.indices, cap_per_class, rng)
-            si = _class_subsample(cs.indices, cap_per_class, rng)
+            ti = _class_subsample(ct.indices, rng)
+            si = _class_subsample(cs.indices, rng)
             cost = pairwise_sq_dists(tgt_features[ti], src_features[si])
             plan = sinkhorn_log(cost, np.full(ti.size, 1.0 / ti.size),
                                 np.full(si.size, 1.0 / si.size), eps=eps, max_iter=max_iter)
@@ -165,20 +164,19 @@ def label_distance_matrix(
     tgt_features: np.ndarray,
     mode: str = "exact",
     eps: float | None = None,
-    cap_per_class: int = CAP_PER_CLASS,
     seed: int = 0,
 ) -> np.ndarray:
     """W2 between class conditionals, (n_tgt_classes x n_src_classes).
 
     Gaussian mode uses the closed-form Bures distance of the fitted moments;
-    exact mode solves entropic OT on the (capped) member samples.
+    exact mode solves entropic OT on the member samples, at most
+    `CAP_PER_CLASS` per class.
     """
-    return np.sqrt(_class_pair_solves(src, tgt, src_features, tgt_features, mode, eps,
-                                      cap_per_class, seed)[0])
+    return np.sqrt(_class_pair_solves(src, tgt, src_features, tgt_features, mode, eps, seed)[0])
 
 
 def _otdd_core(tgt: LabeledDataset, src: LabeledDataset, mode: str, eps, seed: int,
-               cap_per_class: int, max_iter: int = 1000):
+               max_iter: int = 1000):
     """The one OTDD solve behind `otdd` and `otdd_grad`: reduce the features,
     fit the class conditionals, solve the class pairs, add their squared W2
     to the squared feature distances and solve the outer problem.
@@ -194,12 +192,10 @@ def _otdd_core(tgt: LabeledDataset, src: LabeledDataset, mode: str, eps, seed: i
         raise ShapeError("feature dimension mismatch after reduction")
     ct = fit_label_conditionals(tgt)
     cs = fit_label_conditionals(src)
-    sq, pairs, converged = _class_pair_solves(cs, ct, zs, zt, mode, eps,
-                                              cap_per_class, seed, max_iter)
-    ti = {c.label: i for i, c in enumerate(ct)}
-    si = {c.label: j for j, c in enumerate(cs)}
-    rows = np.array([ti[int(y)] for y in tgt.labels])
-    cols = np.array([si[int(y)] for y in src.labels])
+    sq, pairs, converged = _class_pair_solves(cs, ct, zs, zt, mode, eps, seed, max_iter)
+    # class conditionals come in np.unique order, so a row's class index is its inverse
+    rows = np.unique(tgt.labels, return_inverse=True)[1]
+    cols = np.unique(src.labels, return_inverse=True)[1]
     cost = pairwise_sq_dists(zt, zs) + sq[np.ix_(rows, cols)]
     if not np.all(np.isfinite(cost)):
         raise NumericError("otdd: non-finite augmented cost")
@@ -216,14 +212,13 @@ def otdd(
     mode: str = "exact",
     eps: float | None = None,
     seed: int = 0,
-    cap_per_class: int = CAP_PER_CLASS,
 ) -> DistanceReport:
     """OT dataset distance with the label-augmented squared-Euclidean ground
     cost; the report value is the square root of the OT value (p = 2). The
     report counts as converged only if the outer and every class-pair solve
     converged. Computes no gradient; `otdd_grad` adds one to the same solve."""
     t0 = time.perf_counter()
-    value, converged = _otdd_core(tgt, src, mode, eps, seed, cap_per_class)[:2]
+    value, converged = _otdd_core(tgt, src, mode, eps, seed)[:2]
     return DistanceReport(
         metric=f"otdd-{mode}",
         value=value,
@@ -238,7 +233,6 @@ def otdd_grad(
     mode: str = "exact",
     eps: float | None = None,
     seed: int = 0,
-    cap_per_class: int = CAP_PER_CLASS,
     max_iter: int = 1000,
 ):
     """`otdd`'s value and its envelope (Danskin) gradient w.r.t. the target's
@@ -253,7 +247,7 @@ def otdd_grad(
     the marginals fix, that frozen term shows relative errors of 0.5-1.0.
     """
     value, converged, plan, zt, zs, rows, cols, pairs = _otdd_core(
-        tgt, src, mode, eps, seed, cap_per_class, max_iter)
+        tgt, src, mode, eps, seed, max_iter)
     pi = plan.matrix
     grad = 2.0 * (pi.sum(axis=1)[:, None] * zt - pi @ zs)
     # the outer plan's mass on each class pair weights that pair's inner gradient
@@ -268,7 +262,7 @@ def otdd_grad(
     return value, grad, converged
 
 
-def _subsampled(tgt, src, b, rounds, seed, mode, eps, cap_per_class, with_grad):
+def _subsampled(tgt, src, b, rounds, seed, mode, eps, with_grad):
     """Shared body of `otdd_subsampled` and `otdd_subsampled_grad`: the
     class-wise draws, from the RNG stream ("otdd_sub", label, round), and
     their weighted distances. Returns (value, grad or None, per-class values,
@@ -293,13 +287,11 @@ def _subsampled(tgt, src, b, rounds, seed, mode, eps, cap_per_class, with_grad):
                 rng.choice(idx, size=b_eff, replace=idx.size < b_eff))
             ds_sub = LabeledDataset(tgt.features[sub], tgt.labels[sub])
             if with_grad:
-                v, g, ok = otdd_grad(ds_sub, src, mode=mode, eps=eps, seed=seed,
-                                     cap_per_class=cap_per_class)
+                v, g, ok = otdd_grad(ds_sub, src, mode=mode, eps=eps, seed=seed)
                 # a draw with replacement repeats rows; each copy adds its share
                 np.add.at(grad, sub, (weight / rounds) * g)
             else:
-                rep = otdd(ds_sub, src, mode=mode, eps=eps, seed=seed,
-                           cap_per_class=cap_per_class)
+                rep = otdd(ds_sub, src, mode=mode, eps=eps, seed=seed)
                 v, ok = rep.value, rep.converged
             converged = converged and ok
             vals.append(v)
@@ -316,7 +308,6 @@ def otdd_subsampled(
     seed: int = 0,
     mode: str = "exact",
     eps: float | None = None,
-    cap_per_class: int = CAP_PER_CLASS,
 ) -> DistanceReport:
     """Class-wise subsampled OTDD approximation.
 
@@ -328,7 +319,7 @@ def otdd_subsampled(
     """
     t0 = time.perf_counter()
     value, _, per_class, weights, converged = _subsampled(
-        tgt, src, b, rounds, seed, mode, eps, cap_per_class, with_grad=False)
+        tgt, src, b, rounds, seed, mode, eps, with_grad=False)
     return DistanceReport(
         metric="otdd-subsampled",
         value=value,
@@ -340,13 +331,12 @@ def otdd_subsampled(
 
 
 def otdd_subsampled_grad(tgt: LabeledDataset, src: LabeledDataset, b: int, rounds: int = 1,
-                         seed: int = 0, mode: str = "exact", eps: float | None = None,
-                         cap_per_class: int = CAP_PER_CLASS):
+                         seed: int = 0, mode: str = "exact", eps: float | None = None):
     """`otdd_subsampled`'s value, from the same draws, and its gradient
     w.r.t. the target's reduced features: each draw's `otdd_grad`, weighted
     like its value. Returns (value, grad (n, d), converged)."""
     value, grad, _, _, converged = _subsampled(
-        tgt, src, b, rounds, seed, mode, eps, cap_per_class, with_grad=True)
+        tgt, src, b, rounds, seed, mode, eps, with_grad=True)
     return value, grad, converged
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class ParameterSet:
 
     def entry(self, name) -> Param:
         return self._entries[name]
-
-    def trainable_names(self):
-        return [n for n, p in self._entries.items() if p.trainable]
 
     def set_trainable(self, name, flag):
         self._entries[name].trainable = bool(flag)
@@ -574,9 +571,6 @@ def trainable_mask(params: ParameterSet, mode: str) -> ParameterSet:
                 params.set_trainable(n, False)
             else:
                 params.set_trainable(n, True)
-    elif mode == "head_and_embedder_only":
-        for n in params.names():
-            params.set_trainable(n, not n.startswith("body."))
     else:
         raise ContractError(f"unknown mask mode {mode!r}")
     return params

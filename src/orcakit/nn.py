@@ -155,7 +155,8 @@ def attention_bw(g, cache, prefix):
 
 
 # ---------------------------------------------------------------------------
-# non-overlapping patch convolution (kernel size == stride == k)
+# non-overlapping patch convolution (kernel size == stride == k); forward only,
+# since the embedder is the first layer and needs no input gradient
 
 def patch_fw_1d(x, k):
     """(B, C, L) -> (B, L//k, C*k) patches; trailing remainder is dropped."""
@@ -169,15 +170,6 @@ def patch_fw_1d(x, k):
     return xt.transpose(0, 2, 1, 3).reshape(b, s, c * k)
 
 
-def patch_bw_1d(g, x_shape, k):
-    b, c, length = x_shape
-    s = length // k
-    gx = np.zeros(x_shape, dtype=g.dtype)
-    gp = g.reshape(b, s, c, k).transpose(0, 2, 1, 3)
-    gx[:, :, : s * k] = gp.reshape(b, c, s * k)
-    return gx
-
-
 def patch_fw_2d(x, k):
     """(B, C, H, W) -> (B, (H//k)*(W//k), C*k*k)."""
     b, c, h, w = x.shape
@@ -186,15 +178,6 @@ def patch_fw_2d(x, k):
         raise ShapeError(f"input {h}x{w} smaller than kernel {k}")
     xt = x[:, :, : hs * k, : ws * k].reshape(b, c, hs, k, ws, k)
     return xt.transpose(0, 2, 4, 1, 3, 5).reshape(b, hs * ws, c * k * k)
-
-
-def patch_bw_2d(g, x_shape, k):
-    b, c, h, w = x_shape
-    hs, ws = h // k, w // k
-    gx = np.zeros(x_shape, dtype=g.dtype)
-    gp = g.reshape(b, hs, ws, c, k, k).transpose(0, 3, 1, 4, 2, 5)
-    gx[:, :, : hs * k, : ws * k] = gp.reshape(b, c, hs * k, ws * k)
-    return gx
 
 
 # ---------------------------------------------------------------------------

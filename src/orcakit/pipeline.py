@@ -31,7 +31,6 @@ from .models import (
     embedder_backward,
     embedder_forward,
     init_body,
-    init_embedder_params,
     init_head,
     merge_params,
     trainable_mask,
@@ -281,12 +280,7 @@ def cache_source(model: Model, source: Bundle, n: int = 5000, seed: int = 0,
         idx = np.sort(rng.choice(source.n, size=n, replace=False))
     else:
         idx = np.arange(source.n)
-    feats = []
-    for i in range(0, idx.size, 64):
-        seq, _ = embedder_forward(model.emb_spec, model.params,
-                                  source.features[idx[i : i + 64]])
-        feats.append(seq.mean(axis=1))
-    feats = np.concatenate(feats, axis=0).astype(np.float32)
+    feats = _embed_all(model.emb_spec, model.params, source.features[idx]).astype(np.float32)
     labels = source.labels[idx].astype(np.int32)
     cache = Bundle("source_cache", feats[:, None, :], labels,
                    "classification", source.classes)
@@ -423,6 +417,9 @@ def assemble_refine_model(mode: str, cfg: ExperimentConfig, target: Bundle,
                           seed: int) -> Model:
     if mode not in RUN_MODES:
         raise ContractError(f"unknown run mode {mode!r}")
+    if cfg.model.head_mode != target.label_kind:
+        raise ContractError(f"model.head_mode {cfg.model.head_mode!r} does not match the "
+                            f"target's label kind {target.label_kind!r}")
     body_spec = body_spec_of(cfg)
     emb_spec, fresh_emb = embedder_for_bundle(target, cfg, seed)
     head_spec = head_for_bundle(target, emb_spec, cfg)

@@ -7,7 +7,7 @@ import csv
 import importlib.resources
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -79,19 +79,6 @@ def sqrtm_psd(m: np.ndarray, sym_tol: float = 1e-6, eig_floor: float = -1e-8) ->
     return (s + s.T) / 2.0
 
 
-def logsumexp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) with max-subtraction; exact for a single element."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ContractError("logsumexp: empty input")
-    hi = v.max()
-    if not np.isfinite(hi):
-        raise NumericError("logsumexp: non-finite input")
-    if v.size == 1:
-        return float(v[0])
-    return float(hi + np.log(np.sum(np.exp(v - hi), dtype=np.float64)))
-
-
 def logsumexp_rows(m: np.ndarray, axis: int) -> np.ndarray:
     """Row/column log-sum-exp used by the log-domain Sinkhorn sweeps."""
     m = np.asarray(m, dtype=np.float64)

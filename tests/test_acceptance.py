@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from conftest import fd_check, to_f64
+from ot_oracle import exact_ot_enum
 
 from orcakit.bundles import synth_advect1d, synth_blobs2d, synth_spectra1d
 from orcakit.config import ExperimentConfig
@@ -21,7 +22,7 @@ from orcakit.models import (
     init_head,
     merge_params,
 )
-from orcakit.ot import exact_ot_enum, sinkhorn_log
+from orcakit.ot import sinkhorn_log
 from orcakit.pipeline import (
     align_embedder,
     cache_source,

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from ot_oracle import exact_ot_enum
 
 from orcakit.distances import (
     LabeledDataset,
+    _otdd_core,
     euclidean_align,
     fit_label_conditionals,
     kmeans_pseudolabels,
@@ -15,7 +17,6 @@ from orcakit.distances import (
     seq_mean_reduce,
 )
 from orcakit.errors import ContractError, ShapeError
-from orcakit.ot import exact_ot_enum
 from orcakit.tensor import make_rng
 
 
@@ -147,6 +148,15 @@ class TestOtdd:
     def test_gaussian_mode_runs(self):
         rep = otdd(toy_dataset(10), toy_dataset(11), mode="gaussian", eps=0.1)
         assert rep.value >= 0
+
+    def test_rows_index_their_class_conditionals(self):
+        tgt = LabeledDataset(make_rng(12).normal(size=(9, 3)),
+                             np.array([7, 2, 7, 9, 2, 9, 9, 7, 2]))
+        src = toy_dataset(13, classes=3)
+        rows, cols = _otdd_core(tgt, src, "exact", 0.1, 0)[5:7]
+        for ds, idx in ((tgt, rows), (src, cols)):
+            order = {c.label: i for i, c in enumerate(fit_label_conditionals(ds))}
+            assert idx.tolist() == [order[int(y)] for y in ds.labels]
 
 
 class TestOtddSubsampled:

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from ot_oracle import exact_ot_enum
+
 from orcakit.errors import ContractError
 from orcakit.ot import (
     GaussianStats,
-    exact_ot_enum,
     gaussian_w2,
     sinkhorn_log,
 )

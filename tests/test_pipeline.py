@@ -1,6 +1,9 @@
 """Schedules, optimizer, losses, and the three workflow stages on tiny tasks."""
 
+import importlib
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +434,20 @@ class TestRefine:
         out, _ = model.forward(hi.features[:2])
         assert out.shape == (2, 1, 64)  # k=1 model runs at doubled resolution
 
+    def test_head_mode_must_match_label_kind(self):
+        classification = synth_spectra1d(n=24, length=32, seed=1)
+        dense = synth_advect1d(n=16, length=32, seed=0)
+        dense_cfg = small_config(model={"head_mode": "dense", "target_seq_len": 32})
+        cls_cfg = small_config(model={"target_seq_len": 32})
+        with pytest.raises(ContractError, match="head_mode"):
+            assemble_refine_model("scratch", dense_cfg, classification, None, None, 0)
+        with pytest.raises(ContractError, match="head_mode"):
+            assemble_refine_model("scratch", cls_cfg, dense, None, None, 0)
+        assert assemble_refine_model("scratch", dense_cfg, dense, None, None, 0
+                                     ).head_spec.mode == "dense"
+        assert assemble_refine_model("scratch", cls_cfg, classification, None, None, 0
+                                     ).head_spec.mode == "classification"
+
 
 class TestEvaluate:
     def test_matches_manual_argmax(self):
@@ -496,3 +513,21 @@ class TestEndToEnd:
         cfg = self._write_inputs(tmp_path)
         with pytest.raises(ContractError):
             sweep_train_fraction(cfg, [], ["naive_ft"], [0], None, None, None)
+
+
+def test_benchmark_traced_names_exist():
+    """The benchmark tracer wraps these orcakit attributes at `install()`, and
+    its workload calls `pipeline.worker_count`; a traced run fails on any one
+    that is gone."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, attrs in tracer.FUNCTIONS.items():
+        module = importlib.import_module(f"orcakit.{mod_name}")
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), f"orcakit.{mod_name}.{attr}"
+    for mod_name, cls_name, meth in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"orcakit.{mod_name}"), cls_name)
+        assert meth in vars(cls), f"orcakit.{mod_name}.{cls_name}.{meth}"
+    assert callable(worker_count)

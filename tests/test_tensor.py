@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orcakit.errors import ContractError, ShapeError
-from orcakit.tensor import logsumexp, make_rng, pairwise_sq_dists, sqrtm_psd
+from orcakit.tensor import logsumexp_rows, make_rng, pairwise_sq_dists, sqrtm_psd
 
 
 class TestPairwiseSqDists:
@@ -64,19 +64,23 @@ class TestSqrtmPsd:
 
 
 class TestLogsumexp:
+    """`logsumexp_rows`, the reduction behind every log-domain Sinkhorn sweep."""
+
     def test_single(self):
-        assert logsumexp(np.array([0.0])) == 0.0
+        for axis in (0, 1):
+            assert logsumexp_rows(np.array([[0.0]]), axis=axis).tolist() == [0.0]
 
     def test_two_equal(self):
         c = 3.7
-        assert abs(logsumexp(np.array([c, c])) - (c + np.log(2))) < 1e-12
+        got = logsumexp_rows(np.array([[c, c], [0.0, 0.0]]), axis=1)
+        assert np.allclose(got, [c + np.log(2), np.log(2)], rtol=0, atol=1e-12)
+        got = logsumexp_rows(np.array([[c, c], [c, c]]).T, axis=0)
+        assert np.allclose(got, c + np.log(2), rtol=0, atol=1e-12)
 
     def test_no_overflow(self):
-        assert abs(logsumexp(np.array([1000.0, 1000.0])) - (1000 + np.log(2))) < 1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            logsumexp(np.array([]))
+        got = logsumexp_rows(np.full((2, 2), 1000.0), axis=1)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, 1000 + np.log(2), rtol=0, atol=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -84,8 +88,12 @@ class TestLogsumexp:
         st.floats(-100, 100),
     )
     def test_shift_invariance(self, v, c):
-        v = np.array(v)
-        assert abs(logsumexp(v + c) - (logsumexp(v) + c)) < 1e-6
+        m = np.array([v, v[::-1]])
+        for axis, mat in ((1, m), (0, m.T)):
+            got = logsumexp_rows(mat, axis=axis)
+            assert got.shape == (2,)
+            assert np.allclose(got, np.log(np.sum(np.exp(np.array(v)))), rtol=0, atol=1e-9)
+            assert np.allclose(logsumexp_rows(mat + c, axis=axis), got + c, rtol=0, atol=1e-6)
 
 
 class TestRng:

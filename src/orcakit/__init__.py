@@ -7,7 +7,7 @@ and cached source features, and supervised refinement on the target task.
 """
 
 from .bundles import Bundle, load_bundle, save_bundle, synth_task
-from .config import ExperimentConfig, ModelConfig, StageConfig
+from .config import AlignConfig, ExperimentConfig, ModelConfig, RefineConfig, StageConfig
 from .distances import (
     LabeledDataset,
     euclidean_align,
@@ -31,7 +31,7 @@ from .report import metric, performance_profile, read_report, write_report
 
 __all__ = [
     "Bundle", "load_bundle", "save_bundle", "synth_task",
-    "ExperimentConfig", "ModelConfig", "StageConfig",
+    "AlignConfig", "ExperimentConfig", "ModelConfig", "RefineConfig", "StageConfig",
     "LabeledDataset", "euclidean_align", "mmd", "otdd", "otdd_grad",
     "otdd_subsampled",
     "ContractError", "FormatError", "NumericError", "OrcaError", "RunError",

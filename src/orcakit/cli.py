@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -214,12 +215,12 @@ def _config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None and hasattr(args, "config"):
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "metric", None):
-        cfg.align.distance_metric = args.metric
+        cfg.align = replace(cfg.align, distance_metric=args.metric)
     if getattr(args, "train_fraction", None) is not None:
-        cfg.refine.train_fraction = args.train_fraction
+        cfg.refine = replace(cfg.refine, train_fraction=args.train_fraction)
     return cfg
 
 

@@ -1,5 +1,6 @@
 """Experiment configuration: JSON documents mapping stage names to stage
-settings. Unknown keys are rejected; every field has a documented default."""
+settings. Each stage accepts only the keys it reads, unknown keys are
+rejected, and every field has one documented default."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import json
 import os
 from dataclasses import dataclass, field, fields, asdict
 
+from .distances import check_subsample
 from .errors import ContractError, FormatError
+from .report import METRIC_NAMES
 
 RUN_MODES = ("orca", "naive_ft", "scratch", "orca_layernorm", "ft_layernorm", "ft_warm_init")
 DISTANCE_METRICS = ("otdd", "otdd-gaussian", "otdd-sub", "mmd", "euclidean")
@@ -23,6 +26,8 @@ def _from_dict(cls, data: dict, where: str):
 
 @dataclass
 class StageConfig:
+    """The training-loop settings that every stage reads; pretraining takes
+    exactly these."""
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
@@ -34,24 +39,18 @@ class StageConfig:
     weight_decay: float = 0.0
     grad_clip: float = 0.0          # 0 disables clipping
     seed: int = 0
-    metric: str = "zero_one_error"
-    distance_metric: str = "otdd"
-    subsample_b: int | str = "full"  # Algorithm-1 b; "full" = whole class
-    subsample_rounds: int = 1        # Algorithm-1 R
-    train_fraction: float = 1.0
-    eps: float | None = None         # entropic regularization; None = auto
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ContractError("epochs must be >= 0")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ContractError("train_fraction must be in (0, 1]")
+        if self.batch_size < 1:
+            raise ContractError("batch_size must be >= 1")
         if self.schedule not in ("step", "linear"):
             raise ContractError(f"unknown schedule {self.schedule!r}")
+        if self.schedule_period < 1:
+            raise ContractError("schedule_period must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
-        if self.distance_metric not in DISTANCE_METRICS:
-            raise ContractError(f"unknown distance metric {self.distance_metric!r}")
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "stage"):
@@ -59,6 +58,40 @@ class StageConfig:
 
     def to_dict(self):
         return asdict(self)
+
+
+@dataclass
+class AlignConfig(StageConfig):
+    """Embedder alignment: the training loop plus the distance it minimizes."""
+    epochs: int = 60
+    distance_metric: str = "otdd"
+    subsample_b: int | str = "full"  # Algorithm-1 b; "full" = whole class
+    subsample_rounds: int = 1        # Algorithm-1 R
+    eps: float | None = None         # entropic regularization; None = auto
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.distance_metric not in DISTANCE_METRICS:
+            raise ContractError(f"unknown distance metric {self.distance_metric!r}")
+        check_subsample(self.subsample_b, self.subsample_rounds)
+        if self.eps is not None and not self.eps > 0:
+            raise ContractError("eps must be > 0, or null for the automatic choice")
+
+
+@dataclass
+class RefineConfig(StageConfig):
+    """Refinement: the training loop plus the target metric and data share."""
+    lr: float = 1e-4
+    schedule: str = "linear"
+    metric: str = "zero_one_error"
+    train_fraction: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.metric not in METRIC_NAMES:
+            raise ContractError(f"unknown metric {self.metric!r}")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ContractError("train_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -71,13 +104,6 @@ class ModelConfig:
     target_seq_len: int | None = None
     head_mode: str = "classification"  # must match the target bundle's label_kind
 
-    @classmethod
-    def from_dict(cls, data: dict, where: str = "model"):
-        return _from_dict(cls, data, where)
-
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class ExperimentConfig:
@@ -86,11 +112,9 @@ class ExperimentConfig:
     mode: str = "orca"
     paths: dict = field(default_factory=dict)
     model: ModelConfig = field(default_factory=ModelConfig)
-    pretrain: StageConfig = field(default_factory=lambda: StageConfig(lr=1e-3))
-    align: StageConfig = field(default_factory=lambda: StageConfig(epochs=60, lr=1e-3))
-    refine: StageConfig = field(
-        default_factory=lambda: StageConfig(schedule="linear", lr=1e-4)
-    )
+    pretrain: StageConfig = field(default_factory=StageConfig)
+    align: AlignConfig = field(default_factory=AlignConfig)
+    refine: RefineConfig = field(default_factory=RefineConfig)
 
     _PATH_KEYS = (
         "source_bundle", "target_bundle", "val_bundle", "eval_bundle",
@@ -113,21 +137,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict):
         data = dict(data)
-        known = {"seed", "out_dir", "mode", "paths", "model", "pretrain", "align", "refine"}
-        unknown = set(data) - known
-        if unknown:
-            raise FormatError(f"config: unknown keys {sorted(unknown)}")
-        out = cls(
-            seed=data.get("seed", 0),
-            out_dir=data.get("out_dir", "runs/out"),
-            mode=data.get("mode", "orca"),
-            paths=data.get("paths", {}),
-            model=ModelConfig.from_dict(data.get("model", {})),
-            pretrain=StageConfig.from_dict(data.get("pretrain", {}), "pretrain"),
-            align=StageConfig.from_dict(data.get("align", {}), "align"),
-            refine=StageConfig.from_dict(data.get("refine", {}), "refine"),
-        )
-        return out
+        for key, section in (("model", ModelConfig), ("pretrain", StageConfig),
+                             ("align", AlignConfig), ("refine", RefineConfig)):
+            if key in data:
+                data[key] = _from_dict(section, data[key], key)
+        return _from_dict(cls, data, "config")
 
     @classmethod
     def load(cls, path):
@@ -139,13 +153,4 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "mode": self.mode,
-            "paths": dict(self.paths),
-            "model": self.model.to_dict(),
-            "pretrain": self.pretrain.to_dict(),
-            "align": self.align.to_dict(),
-            "refine": self.refine.to_dict(),
-        }
+        return asdict(self)

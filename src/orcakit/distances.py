@@ -262,16 +262,24 @@ def otdd_grad(
     return value, grad, converged
 
 
+def check_subsample(b, rounds) -> bool:
+    """Validate Algorithm 1's draw size `b` (an integer >= 1, or "full",
+    None or 0 for the whole class) and round count; return whether `b` means
+    the whole class."""
+    full = b in (None, "full", 0)
+    if not full and (not isinstance(b, (int, np.integer)) or b < 1):
+        raise ContractError("subsample size must be >= 1 or 'full'")
+    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ContractError("rounds must be an integer >= 1")
+    return full
+
+
 def _subsampled(tgt, src, b, rounds, seed, mode, eps, with_grad):
     """Shared body of `otdd_subsampled` and `otdd_subsampled_grad`: the
     class-wise draws, from the RNG stream ("otdd_sub", label, round), and
     their weighted distances. Returns (value, grad or None, per-class values,
     class weights, converged)."""
-    full = b in (None, "full", 0)
-    if not full and (not isinstance(b, (int, np.integer)) or b < 1):
-        raise ContractError("subsample size must be >= 1 or 'full'")
-    if rounds < 1:
-        raise ContractError("rounds must be >= 1")
+    full = check_subsample(b, rounds)
     per_class: dict[int, float] = {}
     weights: dict[int, float] = {}
     grad = np.zeros((tgt.n, tgt.features.shape[-1])) if with_grad else None

@@ -7,11 +7,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from .bundles import Bundle, load_bundle, save_bundle
-from .config import RUN_MODES, ExperimentConfig, StageConfig
+from .config import RUN_MODES, AlignConfig, ExperimentConfig, StageConfig
 from .distances import (
     LabeledDataset,
     euclidean_align_grad,
@@ -183,8 +184,7 @@ def evaluate(model: Model, bundle: Bundle, metric_name: str, batch_size=64) -> f
 
 
 def train_supervised(model: Model, train: Bundle, val: Bundle | None,
-                     cfg: StageConfig, metric_name: str | None = None):
-    metric_name = metric_name or cfg.metric
+                     cfg: StageConfig, metric_name: str):
     classification = train.label_kind == "classification"
     weights = class_weight_vector(train.labels, train.classes) if classification else None
     opt = Optimizer(model.params, cfg)
@@ -314,7 +314,7 @@ def target_labels_for_alignment(target: Bundle, emb_spec, emb_params,
     return kmeans_pseudolabels(feats, source_classes, seed=seed)
 
 
-def _alignment_loss_grad(z, labels, src_ds: LabeledDataset, stage: StageConfig,
+def _alignment_loss_grad(z, labels, src_ds: LabeledDataset, stage: AlignConfig,
                          step_seed: int):
     """The configured distance between the batch's reduced embeddings z and
     the source cache: (value, gradient w.r.t. z, converged)."""
@@ -339,7 +339,7 @@ def _alignment_loss_grad(z, labels, src_ds: LabeledDataset, stage: StageConfig,
 
 
 def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: ParameterSet,
-                   stage: StageConfig, align_labels: np.ndarray | None = None):
+                   stage: AlignConfig, align_labels: np.ndarray | None = None):
     """Stage 2: minimize the configured distance between embedded target
     batches and the cached source features. Only embedder tensors move.
 
@@ -458,16 +458,15 @@ def refine(target: Bundle, val: Bundle | None, cfg: ExperimentConfig, mode: str,
            checkpoint: ParameterSet | None = None,
            aligned_embedder: ParameterSet | None = None,
            seed: int | None = None):
-    stage = cfg.refine
-    seed = stage.seed if seed is None else seed
-    stage = StageConfig.from_dict({**stage.to_dict(), "seed": seed})
+    seed = cfg.refine.seed if seed is None else seed
+    stage = replace(cfg.refine, seed=seed)
     model = assemble_refine_model(mode, cfg, target, checkpoint,
                                   aligned_embedder, seed)
     train = target
     if stage.train_fraction < 1.0:
         train = subsample_fraction(target, stage.train_fraction, seed)
     t0 = time.perf_counter()
-    epochs_log = train_supervised(model, train, val, stage)
+    epochs_log = train_supervised(model, train, val, stage, stage.metric)
     record = {
         "stage": "refine",
         "mode": mode,
@@ -566,10 +565,7 @@ def sweep_train_fraction(cfg: ExperimentConfig, fractions, modes, seeds,
 
     def run_cell(cell):
         f, m, s = cell
-        cell_cfg = ExperimentConfig.from_dict({
-            **cfg.to_dict(),
-            "refine": {**cfg.refine.to_dict(), "train_fraction": f, "seed": s},
-        })
+        cell_cfg = replace(cfg, refine=replace(cfg.refine, train_fraction=f))
         aligned = (aligned_by_seed or {}).get(s)
         _model, rec = refine(target, val, cell_cfg, m, checkpoint=checkpoint,
                              aligned_embedder=aligned, seed=s)

@@ -115,6 +115,20 @@ class TestStages:
                                "--mode", "naive-ft")
         assert code == 1 and "error" in err
 
+    def test_bad_stage_value_exits_one(self, capsys, workdir):
+        tmp_path, cfg = workdir
+        data = json.loads((tmp_path / "cfg.json").read_text())
+        data["refine"]["batch_size"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "pretrain", "--config", str(bad))
+        assert code == 1 and "batch_size" in err
+        assert not (tmp_path / "out").exists()
+        # a flag override is checked at load too, before the missing checkpoint
+        code, _, err = run_cli(capsys, "refine", "--config", cfg, "--mode", "naive-ft",
+                               "--train-fraction", "0")
+        assert code == 1 and "train_fraction" in err
+
     def test_sweep(self, capsys, workdir):
         tmp_path, cfg = workdir
         run_cli(capsys, "pretrain", "--config", cfg)

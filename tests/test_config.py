@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from orcakit.config import ExperimentConfig, ModelConfig, StageConfig
+from orcakit.config import AlignConfig, ExperimentConfig, ModelConfig, RefineConfig, StageConfig
 from orcakit.errors import ContractError, FormatError
 
 
@@ -14,24 +14,50 @@ class TestStageConfig:
         s = StageConfig()
         assert (s.epochs, s.batch_size, s.lr) == (30, 32, 1e-3)
         assert (s.schedule, s.schedule_factor, s.schedule_period) == ("step", 0.2, 20)
-        assert (s.optimizer, s.warmup_epochs, s.train_fraction) == ("adam", 5, 1.0)
-        assert s.subsample_b == "full" and s.subsample_rounds == 1
+        assert (s.optimizer, s.warmup_epochs) == ("adam", 5)
+        assert RefineConfig().train_fraction == 1.0
+        a = AlignConfig()
+        assert a.subsample_b == "full" and a.subsample_rounds == 1
 
     def test_rejects_bad_values(self):
         with pytest.raises(ContractError):
             StageConfig(epochs=-1)
         with pytest.raises(ContractError):
-            StageConfig(train_fraction=0.0)
+            RefineConfig(train_fraction=0.0)
         with pytest.raises(ContractError):
             StageConfig(schedule="cosine")
         with pytest.raises(ContractError):
             StageConfig(optimizer="lion")
         with pytest.raises(ContractError):
-            StageConfig(distance_metric="wasserstein")
+            AlignConfig(distance_metric="wasserstein")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(FormatError, match="momentum"):
             StageConfig.from_dict({"lr": 0.1, "momentum": 0.9})
+
+    @pytest.mark.parametrize("stage,key,value,message", [
+        ("pretrain", "batch_size", 0, "batch_size"),
+        ("refine", "batch_size", -4, "batch_size"),
+        ("pretrain", "schedule_period", 0, "schedule_period"),
+        ("align", "eps", -1, "eps"),
+        ("align", "eps", 0.0, "eps"),
+        ("refine", "metric", "acc", "metric 'acc'"),
+        ("align", "subsample_b", "half", "subsample size"),
+        ("align", "subsample_rounds", 0, "rounds"),
+    ])
+    def test_bad_values_rejected_at_load(self, stage, key, value, message):
+        with pytest.raises(ContractError, match=message):
+            ExperimentConfig.from_dict({stage: {key: value}})
+
+    @pytest.mark.parametrize("stage,key,value", [
+        ("pretrain", "metric", "auroc"),
+        ("pretrain", "eps", 0.1),
+        ("align", "train_fraction", 0.5),
+        ("refine", "distance_metric", "mmd"),
+    ])
+    def test_stage_rejects_keys_it_does_not_read(self, stage, key, value):
+        with pytest.raises(FormatError, match=rf"^{stage}: unknown keys \['{key}'\]$"):
+            ExperimentConfig.from_dict({stage: {key: value}})
 
 
 class TestExperimentConfig:
@@ -42,6 +68,15 @@ class TestExperimentConfig:
         assert c.refine.schedule == "linear" and c.refine.lr == 1e-4
         assert c.model.layers == 2 and c.model.embed_dim == 32
         assert c.model.heads == 4 and c.model.seq_len == 64
+
+    def test_one_set_of_defaults(self):
+        defaults = ExperimentConfig().to_dict()
+        assert ExperimentConfig.from_dict({}).to_dict() == defaults
+        partial = {"pretrain": {"seed": 0}, "align": {"batch_size": 32},
+                   "refine": {"warmup_epochs": 5}}
+        assert ExperimentConfig.from_dict(partial).to_dict() == defaults
+        assert (defaults["align"]["epochs"], defaults["refine"]["lr"],
+                defaults["refine"]["schedule"]) == (60, 1e-4, "linear")
 
     def test_round_trip(self, tmp_path):
         c = ExperimentConfig(seed=7, mode="naive_ft",

@@ -10,7 +10,8 @@ import pytest
 from conftest import fd_check
 
 from orcakit.bundles import synth_advect1d, synth_blobs2d, synth_spectra1d
-from orcakit.config import DISTANCE_METRICS, ExperimentConfig, StageConfig
+from orcakit import pipeline
+from orcakit.config import DISTANCE_METRICS, AlignConfig, ExperimentConfig, StageConfig
 from orcakit.distances import (
     LabeledDataset,
     euclidean_align,
@@ -308,7 +309,7 @@ OBJECTIVES = [(m, "full") for m in DISTANCE_METRICS] + [("otdd-sub", 6)]
 
 @pytest.mark.parametrize("metric,b", OBJECTIVES)
 def test_alignment_objective_is_the_library(metric, b):
-    stage = StageConfig(distance_metric=metric, subsample_b=b)
+    stage = AlignConfig(distance_metric=metric, subsample_b=b)
     rng = make_rng(31, "objective")
     labels = np.repeat([0, 1], [4, 8])
     z = rng.normal(size=(12, 4)) + 2.0 * labels[:, None]
@@ -413,14 +414,27 @@ class TestRefine:
         assert np.array_equal(m.params["embedder.ln.scale"],
                               ckpt["body.block0.ln1.scale"])
 
-    def test_refine_applies_train_fraction(self):
+    def test_refine_applies_train_fraction(self, monkeypatch):
         cfg, ckpt = self._ckpt()
         cfg.refine.train_fraction = 0.25
         tgt = synth_spectra1d(n=32, length=32, seed=1)
         val = synth_spectra1d(n=16, length=32, seed=2)
+        trained_on = []
+        real = pipeline.train_supervised
+
+        def spy(model, train, *args):
+            trained_on.append(train)
+            return real(model, train, *args)
+
+        monkeypatch.setattr(pipeline, "train_supervised", spy)
         _, rec = refine(tgt, val, cfg, "naive_ft", checkpoint=ckpt)
         assert rec["mode"] == "naive_ft"
         assert rec["final_metrics"]["zero_one_error"] is not None
+        expected = subsample_fraction(tgt, 0.25, cfg.refine.seed)
+        assert expected.n == 8
+        assert len(trained_on) == 1
+        assert np.array_equal(trained_on[0].features, expected.features)
+        assert np.array_equal(trained_on[0].labels, expected.labels)
 
     def test_dense_refine_and_resolution_transfer(self):
         cfg = small_config(model={"head_mode": "dense", "target_seq_len": 32,

@@ -261,7 +261,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("cache-source", help="cache embedded source features")
     add_common(sp)
-    sp.add_argument("--n", type=int, default=5000)
+    sp.add_argument("--n", type=int, default=None,
+                    help="rows to cache (default: min(5000, source rows))")
     sp.set_defaults(func=cmd_cache_source)
 
     sp = sub.add_parser("align", help="stage 2: embedder alignment")

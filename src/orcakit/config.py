@@ -16,11 +16,29 @@ RUN_MODES = ("orca", "naive_ft", "scratch", "orca_layernorm", "ft_layernorm", "f
 DISTANCE_METRICS = ("otdd", "otdd-gaussian", "otdd-sub", "mmd", "euclidean")
 
 
+# the JSON values a field annotated with each type name takes
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
+               "None": type(None)}
+
+
 def _from_dict(cls, data: dict, where: str):
+    if not isinstance(data, dict):
+        raise FormatError(f"{where}: expected an object, got {data!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
+    for f in fields(cls):
+        kinds = f.type.split(" | ")
+        # nested sections arrive built; subsample_b is checked by check_subsample
+        if f.name not in data or f.name == "subsample_b" or \
+                not all(k in _JSON_TYPES for k in kinds):
+            continue
+        value = data[f.name]
+        if isinstance(value, bool) or \
+                not isinstance(value, tuple(_JSON_TYPES[k] for k in kinds)):
+            expected = " or ".join(kinds).replace("None", "null")
+            raise FormatError(f"{where}.{f.name}: expected {expected}, got {value!r}")
     return cls(**data)
 
 
@@ -136,6 +154,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise FormatError(f"config: expected an object, got {data!r}")
         data = dict(data)
         for key, section in (("model", ModelConfig), ("pretrain", StageConfig),
                              ("align", AlignConfig), ("refine", RefineConfig)):

@@ -542,17 +542,14 @@ class Model:
         tape.caches = {"emb": t_emb, "body": t_body, "head": t_head}
         return out, tape
 
-    def backward(self, tape, g_out, params=None, trainable_only=True):
+    def backward(self, tape, g_out, params=None):
         p = self.params if params is None else params
         tape.consume()
         c = tape.caches
         g_seq, g_head = head_backward(self.head_spec, p, c["head"], g_out)
         g_emb_out, g_body = body_backward(self.body_spec, p, c["body"], g_seq)
         g_embed = embedder_backward(self.emb_spec, p, c["emb"], g_emb_out)
-        grads = {**g_head, **g_body, **g_embed}
-        if trainable_only and isinstance(p, ParameterSet):
-            grads = {n: g for n, g in grads.items() if p.entry(n).trainable}
-        return grads
+        return {**g_head, **g_body, **g_embed}
 
 
 def trainable_mask(params: ParameterSet, mode: str) -> ParameterSet:

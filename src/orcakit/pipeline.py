@@ -159,12 +159,33 @@ def head_for_bundle(bundle: Bundle, emb_spec, cfg: ExperimentConfig) -> HeadSpec
 
 
 # ---------------------------------------------------------------------------
-# supervised training (pretraining and refinement share this loop)
+# the training loop (pretraining, alignment and refinement all run it)
 
-def _batches(n, batch_size, rng):
-    idx = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        yield idx[i : i + batch_size]
+def _train(params: ParameterSet, stage: StageConfig, n: int, stream: str,
+           step, log_epoch):
+    """Minimize a loss over the trainable tensors of `params`.
+
+    Each epoch shuffles the `n` rows with the `(stage.seed, stream, epoch)`
+    RNG and walks them in batches; `step(idx)` returns the batch's
+    `(loss, grads)`. A non-finite loss raises RunError before any parameter
+    moves. `log_epoch(epoch, mean_loss, lr)` returns the epoch's record row,
+    first for epoch 0 with `(0, None, None)`; the rows are returned."""
+    opt = Optimizer(params, stage)
+    epochs_log = [log_epoch(0, None, None)]
+    for epoch in range(1, stage.epochs + 1):
+        lr = lr_at(stage, epoch)
+        order = make_rng(stage.seed, stream, epoch).permutation(n)
+        losses = []
+        for i in range(0, n, stage.batch_size):
+            idx = order[i : i + stage.batch_size]
+            loss, grads = step(idx)
+            if not np.isfinite(loss):
+                raise RunError(f"non-finite loss {loss} at epoch {epoch}, "
+                               f"batch rows {idx[:8].tolist()}")
+            opt.step(grads, lr)
+            losses.append(loss)
+        epochs_log.append(log_epoch(epoch, float(np.mean(losses)) if losses else None, lr))
+    return epochs_log
 
 
 def evaluate(model: Model, bundle: Bundle, metric_name: str, batch_size=64) -> float:
@@ -187,36 +208,28 @@ def train_supervised(model: Model, train: Bundle, val: Bundle | None,
                      cfg: StageConfig, metric_name: str):
     classification = train.label_kind == "classification"
     weights = class_weight_vector(train.labels, train.classes) if classification else None
-    opt = Optimizer(model.params, cfg)
-    epochs_log = [{
-        "epoch": 0,
-        "train_loss": None,
-        "metric": evaluate(model, val, metric_name) if val is not None else None,
-        "lr": None,
-    }]
-    for epoch in range(1, cfg.epochs + 1):
-        lr = lr_at(cfg, epoch)
-        rng = make_rng(cfg.seed, "train_epoch", epoch)
-        losses = []
-        for idx in _batches(train.n, cfg.batch_size, rng):
-            x = train.features[idx]
-            out, tape = model.forward(x)
-            if classification:
-                loss, g = softmax_ce(out, train.labels[idx], weights)
-            else:
-                loss, g = mse_loss(out, train.labels[idx].astype(out.dtype))
-            if not np.isfinite(loss):
-                raise RunError(f"loss diverged at epoch {epoch}")
-            grads = model.backward(tape, g)
-            opt.step(grads, lr)
-            losses.append(loss)
-        epochs_log.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else None,
-            "metric": evaluate(model, val, metric_name) if val is not None else None,
-            "lr": lr,
-        })
-    return epochs_log
+    held = None
+
+    def step(idx):
+        nonlocal held
+        out, tape = model.forward(train.features[idx])
+        # the previous batch's activations are freed only now, after this
+        # forward: freed at the end of each step, malloc hands their pages
+        # back to the OS and every forward faults them in again (the desk
+        # pretraining took 12x the page faults and 20% longer on 2 cores)
+        held = tape
+        if classification:
+            loss, g = softmax_ce(out, train.labels[idx], weights)
+        else:
+            loss, g = mse_loss(out, train.labels[idx].astype(out.dtype))
+        return loss, model.backward(tape, g)
+
+    def log_epoch(epoch, train_loss, lr):
+        return {"epoch": epoch, "train_loss": train_loss,
+                "metric": evaluate(model, val, metric_name) if val is not None else None,
+                "lr": lr}
+
+    return _train(model.params, cfg, train.n, "train_epoch", step, log_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +242,7 @@ def pretrain_source(source: Bundle, cfg: ExperimentConfig, out_dir=None):
     emb_spec, emb_params = embedder_for_bundle(source, cfg, stage.seed)
     body_spec = body_spec_of(cfg)
     head_spec = head_for_bundle(source, emb_spec, cfg)
-    model = Model(emb_spec, body_spec, head_spec,
-                  merge_params(emb_params, init_body(body_spec, stage.seed),
-                               init_head(head_spec, body_spec.embed_dim, stage.seed)))
+    model = Model.build(emb_spec, body_spec, head_spec, emb_params, stage.seed)
 
     rng = make_rng(stage.seed, "pretrain_split")
     idx = rng.permutation(source.n)
@@ -267,10 +278,13 @@ def pretrain_source(source: Bundle, cfg: ExperimentConfig, out_dir=None):
     return model, record
 
 
-def cache_source(model: Model, source: Bundle, n: int = 5000, seed: int = 0,
+def cache_source(model: Model, source: Bundle, n: int | None = None, seed: int = 0,
                  out_path=None):
     """One pass of the source data through the source embedder, sequence-mean
-    reduced; the cached set backs every later distance computation."""
+    reduced; the cached set backs every later distance computation. `n`
+    defaults to min(5000, source.n); a larger `n` draws with replacement."""
+    if n is None:
+        n = min(5000, source.n)
     rng = make_rng(seed, "cache_source")
     flags = []
     if n > source.n:
@@ -353,47 +367,30 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
     if align_labels is None:
         align_labels = target_labels_for_alignment(
             target, emb_spec, emb_params, cache.classes, stage.seed)
-    opt = Optimizer(emb_params, stage)
     t0 = time.perf_counter()
+    converged = True
+    n_steps = 0
 
-    def exact_distance():
+    def step(idx):
+        nonlocal converged, n_steps
+        n_steps += 1
+        seq, tape = embedder_forward(emb_spec, emb_params, target.features[idx])
+        value, gz, ok = _alignment_loss_grad(seq.mean(axis=1), align_labels[idx], src_ds,
+                                             stage, step_seed=n_steps)
+        converged = converged and ok
+        g_seq = np.repeat(gz[:, None, :], seq.shape[1], axis=1) / seq.shape[1]
+        return value, embedder_backward(emb_spec, emb_params, tape, g_seq)
+
+    def log_epoch(epoch, distance, lr):
+        nonlocal converged
         feats = _embed_all(emb_spec, emb_params, target.features)
-        return otdd(LabeledDataset(feats, align_labels), src_ds,
-                    eps=stage.eps, seed=stage.seed)
-
-    rep0 = exact_distance()
-    converged = rep0.converged
-    epochs_log = [{"epoch": 0, "distance": None, "distance_exact": rep0.value,
-                   "lr": None}]
-    step = 0
-    for epoch in range(1, stage.epochs + 1):
-        lr = lr_at(stage, epoch)
-        rng = make_rng(stage.seed, "align_epoch", epoch)
-        losses = []
-        for idx in _batches(target.n, stage.batch_size, rng):
-            step += 1
-            x = target.features[idx]
-            seq, tape = embedder_forward(emb_spec, emb_params, x)
-            z = seq.mean(axis=1)
-            value, gz, ok = _alignment_loss_grad(z, align_labels[idx], src_ds,
-                                                 stage, step_seed=step)
-            converged = converged and ok
-            if not np.isfinite(value):
-                raise RunError(
-                    f"alignment distance NaN at epoch {epoch}, batch rows {idx[:8].tolist()}"
-                )
-            g_seq = np.repeat(gz[:, None, :], seq.shape[1], axis=1) / seq.shape[1]
-            grads = embedder_backward(emb_spec, emb_params, tape, g_seq)
-            opt.step(grads, lr)
-            losses.append(value)
-        rep = exact_distance()
+        rep = otdd(LabeledDataset(feats, align_labels), src_ds,
+                   eps=stage.eps, seed=stage.seed)
         converged = converged and rep.converged
-        epochs_log.append({
-            "epoch": epoch,
-            "distance": float(np.mean(losses)) if losses else None,
-            "distance_exact": rep.value,
-            "lr": lr,
-        })
+        return {"epoch": epoch, "distance": distance, "distance_exact": rep.value,
+                "lr": lr}
+
+    epochs_log = _train(emb_params, stage, target.n, "align_epoch", step, log_epoch)
     record = {
         "stage": "align",
         "seeds": [stage.seed],
@@ -521,8 +518,8 @@ def run_pipeline(cfg: ExperimentConfig, mode: str | None = None):
         cache = load_bundle(cache_path)
     else:
         src_model = _source_model(cfg, source, checkpoint)
-        cache, _flags = cache_source(src_model, source, n=min(5000, source.n),
-                                     seed=cfg.seed, out_path=cache_path)
+        cache, _flags = cache_source(src_model, source, seed=cfg.seed,
+                                     out_path=cache_path)
 
     align_record = None
     aligned = None

@@ -219,7 +219,7 @@ def test_criterion_4_gradient_integrity():
         return float(np.sum(out.astype(np.float64) * proj))
 
     _, tape = model.forward(x, params=params)
-    grads = model.backward(tape, proj.copy(), params=params, trainable_only=False)
+    grads = model.backward(tape, proj.copy(), params=params)
     groups = {
         "embedder": {n: g for n, g in grads.items() if n.startswith("embedder.")},
         "body": {n: g for n, g in grads.items() if n.startswith("body.")},

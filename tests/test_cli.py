@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from orcakit import pipeline
 from orcakit.bundles import load_bundle, save_bundle, synth_blobs2d, synth_spectra1d
 from orcakit.cli import main
 
@@ -128,6 +129,33 @@ class TestStages:
         code, _, err = run_cli(capsys, "refine", "--config", cfg, "--mode", "naive-ft",
                                "--train-fraction", "0")
         assert code == 1 and "train_fraction" in err
+
+    def test_cache_source_defaults_to_the_whole_source(self, capsys, workdir):
+        tmp_path, cfg = workdir
+        run_cli(capsys, "pretrain", "--config", cfg)
+        code, out, _ = run_cli(capsys, "cache-source", "--config", cfg)
+        assert code == 0
+        out = json.loads(out)
+        assert out["rows"] == 32 and out["flags"] == []
+
+    def test_wrong_value_type_exits_one(self, capsys, workdir):
+        tmp_path, cfg = workdir
+        data = json.loads((tmp_path / "cfg.json").read_text())
+        data["refine"]["batch_size"] = "4"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "pretrain", "--config", str(bad))
+        assert code == 1
+        assert err.startswith("error: refine.batch_size: expected int")
+
+    def test_non_finite_loss_exits_two_without_checkpoint(self, capsys, workdir,
+                                                          monkeypatch):
+        tmp_path, cfg = workdir
+        monkeypatch.setattr(pipeline, "softmax_ce",
+                            lambda logits, *a: (float("nan"), np.zeros_like(logits)))
+        code, _, err = run_cli(capsys, "pretrain", "--config", cfg)
+        assert code == 2 and err.startswith("error: non-finite loss nan")
+        assert not (tmp_path / "out" / "checkpoint").exists()
 
     def test_sweep(self, capsys, workdir):
         tmp_path, cfg = workdir

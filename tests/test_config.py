@@ -50,6 +50,32 @@ class TestStageConfig:
             ExperimentConfig.from_dict({stage: {key: value}})
 
     @pytest.mark.parametrize("stage,key,value", [
+        ("refine", "batch_size", "4"),
+        ("align", "eps", "0.1"),
+        ("refine", "train_fraction", "0.5"),
+        ("pretrain", "epochs", 2.5),
+        ("pretrain", "lr", "0.1"),
+        ("model", "layers", "2"),
+        ("refine", "batch_size", True),
+        (None, "seed", "0"),
+    ])
+    def test_wrong_json_type_rejected_at_load(self, stage, key, value):
+        data = {key: value} if stage is None else {stage: {key: value}}
+        with pytest.raises(FormatError, match=rf"^{stage or 'config'}\.{key}: expected "):
+            ExperimentConfig.from_dict(data)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(FormatError, match="^model: expected an object"):
+            ExperimentConfig.from_dict({"model": 3})
+        with pytest.raises(FormatError, match="^config: expected an object"):
+            ExperimentConfig.from_dict([1, 2])
+
+    def test_int_loads_as_float_and_null_where_allowed(self):
+        c = ExperimentConfig.from_dict({"pretrain": {"lr": 1}, "align": {"eps": None},
+                                        "model": {"target_seq_len": None}})
+        assert c.pretrain.lr == 1 and c.align.eps is None
+
+    @pytest.mark.parametrize("stage,key,value", [
         ("pretrain", "metric", "auroc"),
         ("pretrain", "eps", 0.1),
         ("align", "train_fraction", 0.5),

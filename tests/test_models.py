@@ -252,7 +252,7 @@ class TestModelBackward:
             return float(np.sum(out * proj))
 
         out, tape = m.forward(x, params=params)
-        grads = m.backward(tape, proj.copy(), params=params, trainable_only=False)
+        grads = m.backward(tape, proj.copy(), params=params)
         err = fd_check(loss, params, grads, rng, n_coords=30, h=1e-5)
         assert err < 1e-4
 
@@ -268,7 +268,7 @@ class TestModelBackward:
             o, _ = m.forward(x, params=p)
             return float(np.sum(o * proj))
 
-        grads = m.backward(tape, proj.copy(), params=params, trainable_only=False)
+        grads = m.backward(tape, proj.copy(), params=params)
         err = fd_check(loss, params, grads, rng, n_coords=30, h=1e-5)
         assert err < 1e-4
 

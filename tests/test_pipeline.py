@@ -20,7 +20,7 @@ from orcakit.distances import (
     otdd,
     otdd_subsampled,
 )
-from orcakit.errors import ContractError
+from orcakit.errors import ContractError, RunError
 from orcakit.models import ParameterSet
 from orcakit.pipeline import (
     Optimizer,
@@ -301,6 +301,36 @@ class TestAlignment:
         emb_spec, emb_params = embedder_for_bundle(tgt, cfg, 0)
         labels = target_labels_for_alignment(tgt, emb_spec, emb_params, 4, seed=0)
         assert np.array_equal(labels, tgt.labels)
+
+
+@pytest.mark.parametrize("stage", ["supervised", "align"])
+def test_non_finite_loss_stops_before_any_parameter_moves(stage, monkeypatch):
+    """The first batch's loss is NaN but its gradient is real, so only the
+    loop's check keeps the optimizer from stepping."""
+    cfg = small_config(pretrain={"epochs": 1})
+    tgt = synth_spectra1d(n=48, length=32, seed=1)
+    if stage == "supervised":
+        model = assemble_refine_model("scratch", cfg, tgt, None, None, 0)
+        params = model.params
+        real = pipeline.softmax_ce
+        monkeypatch.setattr(pipeline, "softmax_ce",
+                            lambda *a: (float("nan"), real(*a)[1]))
+        run = lambda: pipeline.train_supervised(model, tgt, None, cfg.refine,
+                                                "zero_one_error")
+    else:
+        src = synth_blobs2d(n=64, size=8, seed=0)
+        model, _ = pretrain_source(src, cfg)
+        cache, _ = cache_source(model, src, n=64, seed=0)
+        emb_spec, params = embedder_for_bundle(tgt, cfg, 0)
+        real = pipeline._alignment_loss_grad
+        monkeypatch.setattr(pipeline, "_alignment_loss_grad",
+                            lambda *a, **k: (float("nan"), *real(*a, **k)[1:]))
+        run = lambda: align_embedder(tgt, cache, emb_spec, params, cfg.align)
+    before = {n: params[n].copy() for n in params.names()}
+    with pytest.raises(RunError, match=r"non-finite loss nan at epoch 1, batch rows \["):
+        run()
+    for n in params.names():
+        assert np.array_equal(params[n], before[n]), n
 
 
 # b = 6 is larger than the 4-row class 0, so its draws repeat rows

@@ -15,7 +15,7 @@ import numpy as np
 from .bundles import load_bundle, load_csv, save_bundle, synth_task
 from .config import DISTANCE_METRICS, ExperimentConfig
 from .distances import LabeledDataset, euclidean_align, mmd, otdd, otdd_subsampled
-from .errors import NumericError, OrcaError
+from .errors import ContractError, NumericError, OrcaError
 from .models import ParameterSet
 from .pipeline import (
     align_embedder,
@@ -166,11 +166,22 @@ def cmd_pipeline(args):
     return 0
 
 
+def _list_flag(flag, text, parse):
+    """The comma-separated values of `--flag`, each read by `parse`."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(parse(item))
+        except (KeyError, ValueError):
+            raise ContractError(f"--{flag}: cannot read {item!r}") from None
+    return values
+
+
 def cmd_sweep(args):
     cfg = _config(args)
-    fractions = [float(f) for f in args.fractions.split(",")]
-    modes = [CLI_MODES[m] for m in args.modes.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    fractions = _list_flag("fractions", args.fractions, float)
+    modes = _list_flag("modes", args.modes, CLI_MODES.__getitem__)
+    seeds = _list_flag("seeds", args.seeds, int)
     target = load_bundle(cfg.paths["target_bundle"])
     val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
     checkpoint, _ = ParameterSet.load(cfg.path("checkpoint"))

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 from .distances import check_subsample
 from .errors import ContractError, FormatError
+from .models import BodySpec
 from .report import METRIC_NAMES
 
 RUN_MODES = ("orca", "naive_ft", "scratch", "orca_layernorm", "ft_layernorm", "ft_warm_init")
@@ -121,6 +122,13 @@ class ModelConfig:
     source_patch: int = 2           # patch size of the source-modality embedder
     target_seq_len: int | None = None
     head_mode: str = "classification"  # must match the target bundle's label_kind
+
+    def __post_init__(self):
+        BodySpec(self.layers, self.heads, self.embed_dim, self.seq_len)
+        if self.source_patch < 1:
+            raise ContractError("source_patch must be >= 1")
+        if self.target_seq_len is not None and self.target_seq_len < 1:
+            raise ContractError("target_seq_len must be >= 1 or null")
 
 
 @dataclass

@@ -264,12 +264,12 @@ def otdd_grad(
 
 def check_subsample(b, rounds) -> bool:
     """Validate Algorithm 1's draw size `b` (an integer >= 1, or "full",
-    None or 0 for the whole class) and round count; return whether `b` means
-    the whole class."""
-    full = b in (None, "full", 0)
-    if not full and (not isinstance(b, (int, np.integer)) or b < 1):
+    None or 0 for the whole class) and round count, neither of them a bool;
+    return whether `b` means the whole class."""
+    full = b in (None, "full", 0) and not isinstance(b, bool)
+    if not full and (isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1):
         raise ContractError("subsample size must be >= 1 or 'full'")
-    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ContractError("rounds must be an integer >= 1")
     return full
 

@@ -139,13 +139,6 @@ class EmbedderSpec:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if d.get("resize_to") is not None:
-            d["resize_to"] = tuple(d["resize_to"])
-        return cls(**d)
-
 
 @dataclass
 class BodySpec:
@@ -155,6 +148,9 @@ class BodySpec:
     seq_len: int = 64
 
     def __post_init__(self):
+        for key in ("layers", "heads", "embed_dim", "seq_len"):
+            if getattr(self, key) < 1:
+                raise ContractError(f"{key} must be >= 1")
         if self.embed_dim % self.heads != 0:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -162,10 +158,6 @@ class BodySpec:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -183,12 +175,6 @@ class HeadSpec:
         d = asdict(self)
         d["out_extents"] = list(self.out_extents)
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["out_extents"] = tuple(d.get("out_extents", ()))
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +219,6 @@ def build_embedder(
             k = 1
             while length // k > seq_len:
                 k += 1
-        patch_in = c_in * k
     else:
         if body_patch is None:
             raise ContractError("2D embedders require the body patch size")
@@ -244,7 +229,6 @@ def build_embedder(
             raise ContractError(
                 f"{n_patches} patches exceed the body sequence length {seq_len}"
             )
-        patch_in = c_in * k * k
 
     spec = EmbedderSpec(rank, c_in, k, embed_dim, seq_len, resize_to, warn)
     return spec, init_embedder_params(spec, seed)
@@ -340,9 +324,7 @@ def embedder_forward(spec: EmbedderSpec, params, x, positional: bool = True):
 
     if spec.input_rank == 2:
         x = _nearest_resize_2d(x, spec.resize_to or x.shape[2:])
-        patches = nn.patch_fw_2d(x, spec.k)
-    else:
-        patches = nn.patch_fw_1d(x, spec.k)
+    patches = nn.patch_fw(x, spec.k)
     b, s_raw, _ = patches.shape
 
     proj, lin_cache = nn.linear_fw(patches, params["embedder.conv.weight"],
@@ -413,11 +395,10 @@ def body_forward(spec: BodySpec, params, x):
         )
     tape = nn.ForwardTape()
     blocks = []
-    attn_probs = []
     for i in range(spec.layers):
         p = f"body.block{i}"
         n1, c_ln1 = nn.layernorm_fw(x, params[f"{p}.ln1.scale"], params[f"{p}.ln1.shift"])
-        a, probs, c_attn = nn.attention_fw(n1, params, f"{p}.attn", spec.heads)
+        a, c_attn = nn.attention_fw(n1, params, f"{p}.attn", spec.heads)
         h = x + a
         n2, c_ln2 = nn.layernorm_fw(h, params[f"{p}.ln2.scale"], params[f"{p}.ln2.shift"])
         m1, c_m1 = nn.linear_fw(n2, params[f"{p}.mlp.w1"], params[f"{p}.mlp.b1"])
@@ -425,8 +406,7 @@ def body_forward(spec: BodySpec, params, x):
         m2, c_m2 = nn.linear_fw(act, params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])
         x = h + m2
         blocks.append((c_ln1, c_attn, c_ln2, c_m1, c_act, c_m2))
-        attn_probs.append(probs)
-    tape.caches = {"blocks": blocks, "attn_probs": attn_probs}
+    tape.caches = {"blocks": blocks}
     return x, tape
 
 
@@ -473,7 +453,6 @@ def head_forward(spec: HeadSpec, params, seq):
     # dense: per-position linear, mold to channel-first, pixel-shuffle up
     b, s, _ = seq.shape
     if spec.out_extents:
-        ndim = len(spec.out_extents)
         coarse = tuple(e // spec.k for e in spec.out_extents)
         if int(np.prod(coarse)) != s:
             raise ShapeError(
@@ -483,17 +462,13 @@ def head_forward(spec: HeadSpec, params, seq):
         # dynamic 1D mode: pointwise embedders (k=1) accept any length
         if spec.k != 1:
             raise ShapeError("dense head without fixed extents requires k=1")
-        ndim = 1
         coarse = (s,)
     y, lin_cache = nn.linear_fw(seq, params["head.linear.weight"],
                                 params["head.linear.bias"])
     ch = y.shape[-1]
-    if ndim == 1:
-        cf = y.transpose(0, 2, 1)                       # (B, k*K, L_out)
-    else:
-        cf = y.reshape(b, coarse[0], coarse[1], ch).transpose(0, 3, 1, 2)
+    cf = np.moveaxis(y.reshape(b, *coarse, ch), -1, 1)  # (B, k^nd * K, *coarse)
     out = nn.pixel_shuffle(cf, spec.k)
-    tape.caches = {"lin": lin_cache, "coarse": coarse, "ndim": ndim, "ch": ch, "b": b, "s": s}
+    tape.caches = {"lin": lin_cache, "ch": ch, "b": b, "s": s}
     return out, tape
 
 
@@ -505,10 +480,7 @@ def head_backward(spec: HeadSpec, params, tape: nn.ForwardTape, g):
         g_seq = np.repeat(g_pooled[:, None, :], c["s"], axis=1) / c["s"]
         return g_seq, {"head.linear.weight": gw, "head.linear.bias": gb}
     g_cf = nn.pixel_unshuffle(g, spec.k)
-    if c["ndim"] == 1:
-        g_y = g_cf.transpose(0, 2, 1)
-    else:
-        g_y = g_cf.transpose(0, 2, 3, 1).reshape(c["b"], c["s"], c["ch"])
+    g_y = np.moveaxis(g_cf, 1, -1).reshape(c["b"], c["s"], c["ch"])
     g_seq, gw, gb = nn.linear_bw(g_y, c["lin"])
     return g_seq, {"head.linear.weight": gw, "head.linear.bias": gb}
 
@@ -533,9 +505,9 @@ class Model:
                               init_head(head_spec, body_spec.embed_dim, seed))
         return cls(emb_spec, body_spec, head_spec, params)
 
-    def forward(self, x, positional=True, params=None):
+    def forward(self, x, params=None):
         p = self.params if params is None else params
-        seq, t_emb = embedder_forward(self.emb_spec, p, x, positional)
+        seq, t_emb = embedder_forward(self.emb_spec, p, x)
         hid, t_body = body_forward(self.body_spec, p, seq)
         out, t_head = head_forward(self.head_spec, p, hid)
         tape = nn.ForwardTape()

@@ -7,6 +7,8 @@ cache and returns input/parameter gradients. Compute dtype follows the input
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -122,7 +124,7 @@ def attention_fw(x, params, prefix, heads):
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, d)
     out, co = linear_fw(merged, params[prefix + ".wo"], params[prefix + ".bo"])
     cache = (cq, ck, cv, co, qh, kh, vh, cp, heads, hd)
-    return out, probs, cache
+    return out, cache
 
 
 def attention_bw(g, cache, prefix):
@@ -156,28 +158,24 @@ def attention_bw(g, cache, prefix):
 
 # ---------------------------------------------------------------------------
 # non-overlapping patch convolution (kernel size == stride == k); forward only,
-# since the embedder is the first layer and needs no input gradient
+# since the embedder is the first layer and needs no input gradient. The
+# data-movement ops below take (B, C, *spatial) arrays and compute their
+# reshape and transpose axes from the spatial rank nd.
 
-def patch_fw_1d(x, k):
-    """(B, C, L) -> (B, L//k, C*k) patches; trailing remainder is dropped."""
-    b, c, length = x.shape
-    if length < 1:
-        raise ContractError("empty spatial extent")
-    s = length // k
-    if s < 1:
-        raise ShapeError(f"input length {length} shorter than kernel {k}")
-    xt = x[:, :, : s * k].reshape(b, c, s, k)
-    return xt.transpose(0, 2, 1, 3).reshape(b, s, c * k)
-
-
-def patch_fw_2d(x, k):
-    """(B, C, H, W) -> (B, (H//k)*(W//k), C*k*k)."""
-    b, c, h, w = x.shape
-    hs, ws = h // k, w // k
-    if hs < 1 or ws < 1:
-        raise ShapeError(f"input {h}x{w} smaller than kernel {k}")
-    xt = x[:, :, : hs * k, : ws * k].reshape(b, c, hs, k, ws, k)
-    return xt.transpose(0, 2, 4, 1, 3, 5).reshape(b, hs * ws, c * k * k)
+def patch_fw(x, k):
+    """(B, C, *spatial) -> (B, prod(spatial // k), C * k**nd) patches, each
+    ordered (channel, offset along each spatial axis); a trailing remainder
+    is dropped on every axis."""
+    b, c, *spatial = x.shape
+    nd = len(spatial)
+    grid = [e // k for e in spatial]
+    if min(grid) < 1:
+        raise ShapeError(f"input {'x'.join(map(str, spatial))} smaller than kernel {k}")
+    xt = x[(slice(None), slice(None), *(slice(g * k) for g in grid))]
+    xt = xt.reshape(b, c, *(n for g in grid for n in (g, k)))
+    # axes: 0 batch, 1 channel, 2 + 2i grid along axis i, 3 + 2i offset in patch
+    order = (0, *range(2, 2 + 2 * nd, 2), 1, *range(3, 3 + 2 * nd, 2))
+    return xt.transpose(order).reshape(b, math.prod(grid), c * k ** nd)
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +185,33 @@ def pixel_shuffle(x, r):
     """(B, r^nd * K, *spatial) -> (B, K, *(r * spatial)); nd inferred."""
     if r == 1:
         return x
-    if x.ndim == 3:  # 1D
-        b, c, length = x.shape
-        if c % r != 0:
-            raise ShapeError(f"channels {c} not divisible by {r}")
-        k = c // r
-        return x.reshape(b, k, r, length).transpose(0, 1, 3, 2).reshape(b, k, length * r)
-    if x.ndim == 4:  # 2D
-        b, c, h, w = x.shape
-        if c % (r * r) != 0:
-            raise ShapeError(f"channels {c} not divisible by {r * r}")
-        k = c // (r * r)
-        return (
-            x.reshape(b, k, r, r, h, w)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(b, k, h * r, w * r)
-        )
-    raise ShapeError(f"pixel_shuffle expects rank 3 or 4, got {x.ndim}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"pixel_shuffle expects rank 3 or 4, got {x.ndim}")
+    b, c, *spatial = x.shape
+    nd = len(spatial)
+    if c % r ** nd != 0:
+        raise ShapeError(f"channels {c} not divisible by {r ** nd}")
+    k = c // r ** nd
+    # axes: 0 batch, 1 channel, 2 + i offset along axis i, 2 + nd + i position
+    order = (0, 1, *(a for i in range(nd) for a in (2 + nd + i, 2 + i)))
+    y = x.reshape(b, k, *[r] * nd, *spatial).transpose(order)
+    return y.reshape(b, k, *(e * r for e in spatial))
 
 
 def pixel_unshuffle(x, r):
     if r == 1:
         return x
-    if x.ndim == 3:
-        b, k, length = x.shape
-        if length % r != 0:
-            raise ShapeError(f"length {length} not divisible by {r}")
-        return x.reshape(b, k, length // r, r).transpose(0, 1, 3, 2).reshape(b, k * r, length // r)
-    if x.ndim == 4:
-        b, k, h, w = x.shape
-        if h % r != 0 or w % r != 0:
-            raise ShapeError(f"spatial {h}x{w} not divisible by {r}")
-        return (
-            x.reshape(b, k, h // r, r, w // r, r)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(b, k * r * r, h // r, w // r)
-        )
-    raise ShapeError(f"pixel_unshuffle expects rank 3 or 4, got {x.ndim}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"pixel_unshuffle expects rank 3 or 4, got {x.ndim}")
+    b, k, *spatial = x.shape
+    nd = len(spatial)
+    if any(e % r for e in spatial):
+        raise ShapeError(f"spatial {'x'.join(map(str, spatial))} not divisible by {r}")
+    coarse = [e // r for e in spatial]
+    # axes: 0 batch, 1 channel, 2 + 2i position along axis i, 3 + 2i offset
+    order = (0, 1, *range(3, 3 + 2 * nd, 2), *range(2, 2 + 2 * nd, 2))
+    y = x.reshape(b, k, *(n for e in coarse for n in (e, r))).transpose(order)
+    return y.reshape(b, k * r ** nd, *coarse)
 
 
 # ---------------------------------------------------------------------------

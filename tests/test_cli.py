@@ -168,6 +168,19 @@ class TestStages:
         assert len(rows) == 4
         assert {r["mode"] for r in rows} == {"naive_ft", "scratch"}
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--modes", "naive-ft,warp"),
+        ("--fractions", "abc"),
+        ("--seeds", "x"),
+    ])
+    def test_sweep_bad_list_value_exits_one(self, capsys, workdir, flag, value):
+        # no checkpoint exists, so only the list check can name the value
+        tmp_path, cfg = workdir
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg, flag, value)
+        assert code == 1
+        assert err.startswith(f"error: {flag}: cannot read ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestProfileAndCSV:
     def test_profile_command(self, capsys, tmp_path):

@@ -44,6 +44,13 @@ class TestStageConfig:
         ("refine", "metric", "acc", "metric 'acc'"),
         ("align", "subsample_b", "half", "subsample size"),
         ("align", "subsample_rounds", 0, "rounds"),
+        ("align", "subsample_b", True, "subsample size"),
+        ("model", "heads", 0, "heads"),
+        ("model", "layers", -1, "layers"),
+        ("model", "embed_dim", 0, "embed_dim"),
+        ("model", "seq_len", 0, "seq_len"),
+        ("model", "source_patch", 0, "source_patch"),
+        ("model", "target_seq_len", 0, "target_seq_len"),
     ])
     def test_bad_values_rejected_at_load(self, stage, key, value, message):
         with pytest.raises(ContractError, match=message):

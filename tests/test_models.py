@@ -67,9 +67,19 @@ class TestEmbedderForward:
         assert np.abs(out).max() < 1e-5
 
     def test_hand_1d_conv(self):
-        patches = nn.patch_fw_1d(np.array([[[1.0, 2.0, 3.0, 4.0]]]), 2)
+        patches = nn.patch_fw(np.array([[[1.0, 2.0, 3.0, 4.0]]]), 2)
         proj, _ = nn.linear_fw(patches, np.array([[1.0], [1.0]]), np.zeros(1))
         assert np.allclose(proj[0, :, 0], [3.0, 7.0])
+
+    def test_hand_2d_patch_order(self):
+        # checkpoint conv weights are laid out (channel, row, column) per patch,
+        # patches in row-major grid order; the odd fifth row and column drop
+        x = np.arange(2 * 5 * 5, dtype=np.float64).reshape(1, 2, 5, 5)
+        patches = nn.patch_fw(x, 2)
+        assert patches.shape == (1, 4, 8)
+        assert np.array_equal(patches[0, 0], [0, 1, 5, 6, 25, 26, 30, 31])
+        assert np.array_equal(patches[0, 1], [2, 3, 7, 8, 27, 28, 32, 33])
+        assert np.array_equal(patches[0, 2], [10, 11, 15, 16, 35, 36, 40, 41])
 
     def test_k1_variable_length(self):
         spec = EmbedderSpec(1, 1, 1, 4, 32)
@@ -114,7 +124,8 @@ class TestBodyForward:
         params = init_body(spec, seed=1)
         x = make_rng(5).normal(size=(2, 6, 8))
         _, tape = body_forward(spec, params, x)
-        probs = tape.caches["attn_probs"][0]
+        c_attn = tape.caches["blocks"][0][1]
+        probs = c_attn[7]  # the attention cache keeps the softmax output
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_shape_mismatch(self):
@@ -189,6 +200,10 @@ class TestHead:
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)
         out = nn.pixel_shuffle(x, 2)
         assert np.array_equal(out[0, 0], [[1.0, 2.0], [3.0, 4.0]])
+        # 1-D: input channel k * r + j fills position l * r + j of output channel k
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]).reshape(1, 4, 2)
+        out = nn.pixel_shuffle(x, 2)
+        assert np.array_equal(out, [[[1.0, 3.0, 2.0, 4.0], [5.0, 7.0, 6.0, 8.0]]])
 
     def test_pixel_shuffle_r1_identity(self):
         x = make_rng(9).normal(size=(1, 3, 4, 4))

@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from .bundles import load_bundle, load_csv, save_bundle, synth_task
-from .config import DISTANCE_METRICS, ExperimentConfig
+from .config import DISTANCE_METRICS, RUN_MODES, ExperimentConfig
 from .distances import LabeledDataset, euclidean_align, mmd, otdd, otdd_subsampled
-from .errors import ContractError, NumericError, OrcaError
+from .errors import ContractError, OrcaError
 from .models import ParameterSet
 from .pipeline import (
     align_embedder,
@@ -30,14 +30,7 @@ from .pipeline import (
 )
 from .report import performance_profile, write_report
 
-CLI_MODES = {
-    "orca": "orca",
-    "naive-ft": "naive_ft",
-    "scratch": "scratch",
-    "orca-layernorm": "orca_layernorm",
-    "ft-layernorm": "ft_layernorm",
-    "ft-warm-init": "ft_warm_init",
-}
+_MODE_NAMES = {m.replace("_", "-"): m for m in RUN_MODES}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,12 +64,9 @@ def cmd_synth(args):
 def cmd_distance(args):
     a = load_bundle(args.a)
     b = load_bundle(args.b)
-    if args.metric == "otdd":
-        rep = otdd(_labeled(a), _labeled(b), mode="exact", eps=args.eps,
-                   seed=args.seed)
-    elif args.metric == "otdd-gaussian":
-        rep = otdd(_labeled(a), _labeled(b), mode="gaussian", eps=args.eps,
-                   seed=args.seed)
+    if args.metric in ("otdd", "otdd-gaussian"):
+        mode = "gaussian" if args.metric == "otdd-gaussian" else "exact"
+        rep = otdd(_labeled(a), _labeled(b), mode=mode, eps=args.eps, seed=args.seed)
     elif args.metric == "otdd-sub":
         rep = otdd_subsampled(_labeled(a), _labeled(b), b=args.subsample_b,
                               rounds=args.subsample_rounds, eps=args.eps,
@@ -131,17 +121,22 @@ def cmd_align(args):
     return 0
 
 
-def cmd_refine(args):
-    cfg = _config(args)
-    mode = CLI_MODES[args.mode]
+def _refine_inputs(cfg, modes):
+    """Target and val bundles; the checkpoint and aligned embedder if any of `modes` uses them."""
     target = load_bundle(cfg.paths["target_bundle"])
     val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
-    checkpoint = None
-    if mode != "scratch":
+    checkpoint = aligned = None
+    if any(RUN_MODES[m].pretrained_body for m in modes):
         checkpoint, _ = ParameterSet.load(cfg.path("checkpoint"))
-    aligned = None
-    if mode in ("orca", "orca_layernorm"):
+    if any(RUN_MODES[m].aligned_embedder for m in modes):
         aligned, _ = ParameterSet.load(cfg.path("aligned_embedder"))
+    return target, val, checkpoint, aligned
+
+
+def cmd_refine(args):
+    cfg = _config(args)
+    mode = _MODE_NAMES[args.mode]
+    target, val, checkpoint, aligned = _refine_inputs(cfg, [mode])
     model, record = refine(target, val, cfg, mode, checkpoint=checkpoint,
                            aligned_embedder=aligned, seed=args.seed)
     eval_path = args.eval_bundle or cfg.paths.get("eval_bundle")
@@ -150,7 +145,6 @@ def cmd_refine(args):
         record["final_metrics"][f"eval_{cfg.refine.metric}"] = evaluate(
             model, ev, cfg.refine.metric)
     record["config"] = cfg.to_dict()
-    record["mode"] = mode
     write_report(record, cfg.out_dir)
     print(json.dumps({"mode": mode, "final_metrics": record["final_metrics"]}))
     return 0
@@ -158,7 +152,7 @@ def cmd_refine(args):
 
 def cmd_pipeline(args):
     cfg = _config(args)
-    mode = CLI_MODES[args.mode] if args.mode else cfg.mode
+    mode = _MODE_NAMES[args.mode] if args.mode else cfg.mode
     _model, record = run_pipeline(cfg, mode)
     write_report(record, cfg.out_dir)
     print(json.dumps({"mode": mode, "final_metrics": record["final_metrics"],
@@ -180,17 +174,11 @@ def _list_flag(flag, text, parse):
 def cmd_sweep(args):
     cfg = _config(args)
     fractions = _list_flag("fractions", args.fractions, float)
-    modes = _list_flag("modes", args.modes, CLI_MODES.__getitem__)
+    modes = _list_flag("modes", args.modes, _MODE_NAMES.__getitem__)
     seeds = _list_flag("seeds", args.seeds, int)
-    target = load_bundle(cfg.paths["target_bundle"])
-    val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
-    checkpoint, _ = ParameterSet.load(cfg.path("checkpoint"))
-    aligned_by_seed = {}
-    if any(m in ("orca", "orca_layernorm") for m in modes):
-        aligned, _ = ParameterSet.load(cfg.path("aligned_embedder"))
-        aligned_by_seed = {s: aligned for s in seeds}
+    target, val, checkpoint, aligned = _refine_inputs(cfg, modes)
     rows = sweep_train_fraction(cfg, fractions, modes, seeds, target, val,
-                                checkpoint, aligned_by_seed)
+                                checkpoint, {s: aligned for s in seeds})
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "sweep.json")
     with open(out, "w") as f:
@@ -283,14 +271,14 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("refine", help="stage 3: fine-tune on the target task")
     add_common(sp)
-    sp.add_argument("--mode", required=True, choices=sorted(CLI_MODES))
+    sp.add_argument("--mode", required=True, choices=sorted(_MODE_NAMES))
     sp.add_argument("--train-fraction", type=float, default=None)
     sp.add_argument("--eval-bundle", default=None)
     sp.set_defaults(func=cmd_refine)
 
     sp = sub.add_parser("pipeline", help="stages 1-3 end to end")
     add_common(sp)
-    sp.add_argument("--mode", choices=sorted(CLI_MODES), default=None)
+    sp.add_argument("--mode", choices=sorted(_MODE_NAMES), default=None)
     sp.set_defaults(func=cmd_pipeline)
 
     sp = sub.add_parser("sweep", help="train-fraction x mode x seed grid")
@@ -320,12 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OrcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

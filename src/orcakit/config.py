@@ -13,7 +13,32 @@ from .errors import ContractError, FormatError
 from .models import BodySpec
 from .report import METRIC_NAMES
 
-RUN_MODES = ("orca", "naive_ft", "scratch", "orca_layernorm", "ft_layernorm", "ft_warm_init")
+
+@dataclass(frozen=True)
+class RunMode:
+    """What a run mode takes from the earlier stages."""
+    pretrained_body: bool    # else the body is randomly initialized
+    aligned_embedder: bool   # else fresh; implies pretrained_body, whose features it fits
+    mask: str                # the models.trainable_mask mode
+    warm_init: bool = False  # copy the body's first layernorm into the embedder's
+
+
+RUN_MODES = {
+    "orca": RunMode(True, True, "full"),
+    "naive_ft": RunMode(True, False, "full"),
+    "scratch": RunMode(False, False, "full"),
+    "orca_layernorm": RunMode(True, True, "layernorm_only"),
+    "ft_layernorm": RunMode(True, False, "layernorm_only"),
+    "ft_warm_init": RunMode(True, False, "full", warm_init=True),
+}
+
+
+def run_mode(name: str) -> RunMode:
+    if name not in RUN_MODES:
+        raise ContractError(f"unknown run mode {name!r}")
+    return RUN_MODES[name]
+
+
 DISTANCE_METRICS = ("otdd", "otdd-gaussian", "otdd-sub", "mmd", "euclidean")
 
 
@@ -148,8 +173,7 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        if self.mode not in RUN_MODES:
-            raise ContractError(f"unknown run mode {self.mode!r}")
+        run_mode(self.mode)
         unknown = set(self.paths) - set(self._PATH_KEYS)
         if unknown:
             raise FormatError(f"paths: unknown keys {sorted(unknown)}")

@@ -1,7 +1,6 @@
 """Exception hierarchy shared by all modules.
 
-ContractError (and subclasses) map to CLI exit code 1, NumericError and
-RunError to exit code 2.
+Each class's `exit_code` is the CLI's exit status when it is raised.
 """
 
 
@@ -13,8 +12,6 @@ class OrcaError(Exception):
 
 class ContractError(OrcaError):
     """A precondition or API contract was violated by the caller."""
-
-    exit_code = 1
 
 
 class ShapeError(ContractError):

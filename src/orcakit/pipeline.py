@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bundles import Bundle, load_bundle, save_bundle
-from .config import RUN_MODES, AlignConfig, ExperimentConfig, StageConfig
+from .config import AlignConfig, ExperimentConfig, StageConfig, run_mode
 from .distances import (
     LabeledDataset,
     euclidean_align_grad,
@@ -42,9 +42,10 @@ from .tensor import make_rng
 
 def worker_count() -> int:
     env = os.environ.get("ORCAKIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return max(1, int(env)) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ContractError(f"ORCAKIT_THREADS must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -412,41 +413,31 @@ def assemble_refine_model(mode: str, cfg: ExperimentConfig, target: Bundle,
                           checkpoint: ParameterSet | None,
                           aligned_embedder: ParameterSet | None,
                           seed: int) -> Model:
-    if mode not in RUN_MODES:
-        raise ContractError(f"unknown run mode {mode!r}")
+    uses = run_mode(mode)
     if cfg.model.head_mode != target.label_kind:
         raise ContractError(f"model.head_mode {cfg.model.head_mode!r} does not match the "
                             f"target's label kind {target.label_kind!r}")
     body_spec = body_spec_of(cfg)
-    emb_spec, fresh_emb = embedder_for_bundle(target, cfg, seed)
+    emb_spec, emb_params = embedder_for_bundle(target, cfg, seed)
     head_spec = head_for_bundle(target, emb_spec, cfg)
 
-    needs_ckpt = mode != "scratch"
-    if needs_ckpt and checkpoint is None:
-        raise ContractError(f"mode {mode} requires a pretrained checkpoint")
-    if mode in ("orca", "orca_layernorm"):
-        if aligned_embedder is None:
-            raise ContractError(f"mode {mode} requires an aligned embedder")
-        emb_params = aligned_embedder.copy()
-    else:
-        emb_params = fresh_emb
-
-    if mode == "scratch":
-        body_params = init_body(body_spec, seed)
-    else:
+    if uses.pretrained_body:
+        if checkpoint is None:
+            raise ContractError(f"mode {mode} requires a pretrained checkpoint")
         body_params = ParameterSet()
         for name in checkpoint.names():
             if name.startswith("body."):
                 body_params.add(name, checkpoint[name].copy(), True, "pretrained")
+    else:
+        body_params = init_body(body_spec, seed)
+    if uses.aligned_embedder:
+        if aligned_embedder is None:
+            raise ContractError(f"mode {mode} requires an aligned embedder")
+        emb_params = aligned_embedder.copy()
 
     head_params = init_head(head_spec, body_spec.embed_dim, seed)
-    params = merge_params(emb_params, body_params, head_params)
-
-    if mode in ("orca_layernorm", "ft_layernorm"):
-        trainable_mask(params, "layernorm_only")
-    else:
-        trainable_mask(params, "full")
-    if mode == "ft_warm_init":
+    params = trainable_mask(merge_params(emb_params, body_params, head_params), uses.mask)
+    if uses.warm_init:
         warm_init_layernorm(params)
     return Model(emb_spec, body_spec, head_spec, params)
 
@@ -500,30 +491,31 @@ def subsample_fraction(bundle: Bundle, fraction: float, seed: int) -> Bundle:
 # full runs and sweeps
 
 def run_pipeline(cfg: ExperimentConfig, mode: str | None = None):
-    """Stages 1-3 end to end; reuses checkpoint/cache files when present."""
+    """Stages 1-3 end to end, preparing only the artifacts RUN_MODES says
+    `mode` uses; reuses checkpoint/cache files when present."""
     mode = mode or cfg.mode
-    source = load_bundle(cfg.paths["source_bundle"])
+    uses = run_mode(mode)
     target = load_bundle(cfg.paths["target_bundle"])
     val = load_bundle(cfg.paths["val_bundle"]) if cfg.paths.get("val_bundle") else None
 
-    ckpt_path = cfg.path("checkpoint")
-    if os.path.exists(os.path.join(ckpt_path, "manifest.json")):
-        checkpoint, _meta = ParameterSet.load(ckpt_path)
-    else:
-        model, _rec = pretrain_source(source, cfg, out_dir=ckpt_path)
-        checkpoint = model.params
+    checkpoint = aligned = align_record = None
+    if uses.pretrained_body:
+        source = load_bundle(cfg.paths["source_bundle"])
+        ckpt_path = cfg.path("checkpoint")
+        if os.path.exists(os.path.join(ckpt_path, "manifest.json")):
+            checkpoint, _meta = ParameterSet.load(ckpt_path)
+        else:
+            model, _rec = pretrain_source(source, cfg, out_dir=ckpt_path)
+            checkpoint = model.params
 
-    cache_path = cfg.path("cache")
-    if os.path.exists(os.path.join(cache_path, "manifest.json")):
-        cache = load_bundle(cache_path)
-    else:
-        src_model = _source_model(cfg, source, checkpoint)
-        cache, _flags = cache_source(src_model, source, seed=cfg.seed,
-                                     out_path=cache_path)
-
-    align_record = None
-    aligned = None
-    if mode in ("orca", "orca_layernorm"):
+    if uses.aligned_embedder:
+        cache_path = cfg.path("cache")
+        if os.path.exists(os.path.join(cache_path, "manifest.json")):
+            cache = load_bundle(cache_path)
+        else:
+            src_model = _source_model(cfg, source, checkpoint)
+            cache, _flags = cache_source(src_model, source, seed=cfg.seed,
+                                         out_path=cache_path)
         emb_spec, emb_params = embedder_for_bundle(target, cfg, cfg.align.seed)
         aligned, align_record = align_embedder(target, cache, emb_spec,
                                                emb_params, cfg.align)

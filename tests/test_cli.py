@@ -168,6 +168,25 @@ class TestStages:
         assert len(rows) == 4
         assert {r["mode"] for r in rows} == {"naive_ft", "scratch"}
 
+    @pytest.mark.parametrize("mode,code", [("scratch", 0), ("naive-ft", 1)])
+    def test_sweep_reads_the_checkpoint_only_if_a_mode_uses_it(self, capsys, workdir,
+                                                               mode, code):
+        tmp_path, cfg = workdir
+        got, _, err = run_cli(capsys, "sweep", "--config", cfg, "--modes", mode,
+                              "--fractions", "1.0", "--seeds", "0")
+        assert got == code, err
+        if code:
+            assert err.startswith("error: cannot read checkpoint")
+        assert not (tmp_path / "out" / "checkpoint").exists()
+
+    def test_non_integer_thread_count_exits_one(self, capsys, workdir, monkeypatch):
+        tmp_path, cfg = workdir
+        monkeypatch.setenv("ORCAKIT_THREADS", "two")
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--modes", "scratch",
+                               "--fractions", "1.0", "--seeds", "0")
+        assert code == 1
+        assert err.startswith("error: ORCAKIT_THREADS must be an integer, got 'two'")
+
     @pytest.mark.parametrize("flag,value", [
         ("--modes", "naive-ft,warp"),
         ("--fractions", "abc"),

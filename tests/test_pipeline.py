@@ -11,7 +11,13 @@ from conftest import fd_check
 
 from orcakit.bundles import synth_advect1d, synth_blobs2d, synth_spectra1d
 from orcakit import pipeline
-from orcakit.config import DISTANCE_METRICS, AlignConfig, ExperimentConfig, StageConfig
+from orcakit.config import (
+    DISTANCE_METRICS,
+    RUN_MODES,
+    AlignConfig,
+    ExperimentConfig,
+    StageConfig,
+)
 from orcakit.distances import (
     LabeledDataset,
     euclidean_align,
@@ -21,12 +27,13 @@ from orcakit.distances import (
     otdd_subsampled,
 )
 from orcakit.errors import ContractError, RunError
-from orcakit.models import ParameterSet
+from orcakit.models import ParameterSet, init_body
 from orcakit.pipeline import (
     Optimizer,
     _alignment_loss_grad,
     align_embedder,
     assemble_refine_model,
+    body_spec_of,
     cache_source,
     class_weight_vector,
     embedder_for_bundle,
@@ -493,6 +500,33 @@ class TestRefine:
                                      ).head_spec.mode == "classification"
 
 
+@pytest.mark.parametrize("mode", sorted(RUN_MODES))
+def test_assembly_follows_the_mode_table(mode):
+    """A missing checkpoint or aligned embedder raises exactly when the table
+    says the mode uses it, and the assembled model reflects every field."""
+    uses = RUN_MODES[mode]
+    assert uses.pretrained_body or not uses.aligned_embedder
+    cfg = small_config()
+    tgt = synth_spectra1d(n=24, length=32, seed=1)
+    ckpt = init_body(body_spec_of(cfg), seed=5)
+    _, emb = embedder_for_bundle(tgt, cfg, 7)
+    for checkpoint, aligned, needed in ((None, emb, uses.pretrained_body),
+                                        (ckpt, None, uses.aligned_embedder)):
+        if needed:
+            with pytest.raises(ContractError, match=f"mode {mode} requires"):
+                assemble_refine_model(mode, cfg, tgt, checkpoint, aligned, 0)
+        else:
+            assemble_refine_model(mode, cfg, tgt, checkpoint, aligned, 0)
+
+    p = assemble_refine_model(mode, cfg, tgt, ckpt, emb, 0).params
+    assert (p.entry("body.block0.ln1.scale").provenance == "pretrained") == \
+        uses.pretrained_body
+    assert np.array_equal(p["embedder.conv.weight"], emb["embedder.conv.weight"]) == \
+        uses.aligned_embedder
+    assert p.entry("body.block0.attn.wq").trainable == (uses.mask == "full")
+    assert (p.entry("embedder.ln.scale").provenance == "warm-init") == uses.warm_init
+
+
 class TestEvaluate:
     def test_matches_manual_argmax(self):
         cfg = small_config(pretrain={"epochs": 2})
@@ -536,6 +570,15 @@ class TestEndToEnd:
         _, rec = run_pipeline(cfg, "naive_ft")
         assert open(ckpt, "rb").read() == before
         assert rec["align"] is None
+
+    @pytest.mark.parametrize("mode,written", [("scratch", set()),
+                                              ("naive_ft", {"checkpoint"})])
+    def test_run_pipeline_prepares_only_what_the_mode_uses(self, tmp_path, mode, written):
+        cfg = self._write_inputs(tmp_path)
+        _, rec = run_pipeline(cfg, mode)
+        assert rec["align"] is None
+        assert {d for d in ("checkpoint", "cache")
+                if os.path.exists(os.path.join(cfg.out_dir, d))} == written
 
     def test_sweep_grid_and_thread_invariance(self, tmp_path, monkeypatch):
         cfg = self._write_inputs(tmp_path)

@@ -1,5 +1,6 @@
-"""Tensor-bundle files (manifest + raw little-endian blobs), CSV ingestion
-for tabular data, and the seeded synthetic task generators."""
+"""The one on-disk tensor format (a manifest plus raw little-endian blobs),
+shared by bundles, source caches and checkpoints; CSV ingestion for tabular
+data; and the seeded synthetic task generators."""
 
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .tensor import make_rng
-
-DTYPES = {"f32": "<f4", "i32": "<i4"}
 
 
 @dataclass
@@ -42,68 +41,102 @@ class Bundle:
                       self.label_kind, self.classes)
 
 
-def save_bundle(bundle: Bundle, path) -> str:
+# ---------------------------------------------------------------------------
+# artifact directories: manifest.json {"byte_order", "tensors", "meta"} over raw
+# little-endian blobs, tensors that share a blob file packed in record order
+
+MANIFEST = "manifest.json"
+DTYPES = {"f32": "<f4", "i32": "<i4"}
+RECORD_KEYS = ("name", "file", "offset", "bytes", "dtype", "shape")
+# per kind: the tensor names, extra record keys and meta keys it must have
+KINDS = {"bundle": (("features", "labels"), (), ("name", "label_kind", "classes")),
+         "checkpoint": ((), ("trainable", "provenance"), ())}
+
+
+def write_artifact(path, tensors, meta: dict) -> str:
+    """Write (record, array) pairs and `meta`; each record names its tensor, blob
+    file and dtype. The manifest is removed first and renamed in last."""
     os.makedirs(path, exist_ok=True)
-    feats = np.ascontiguousarray(bundle.features, dtype="<f4")
-    if bundle.label_kind == "classification":
-        labels = np.ascontiguousarray(bundle.labels, dtype="<i4")
-        label_dtype = "i32"
-    else:
-        labels = np.ascontiguousarray(bundle.labels, dtype="<f4")
-        label_dtype = "f32"
-    manifest = {
-        "name": bundle.name,
-        "byte_order": "little",
-        "features": {"file": "features.bin", "dtype": "f32",
-                     "shape": list(feats.shape)},
-        "labels": {"file": "labels.bin", "dtype": label_dtype,
-                   "shape": list(labels.shape)},
-        "label_kind": bundle.label_kind,
-        "classes": bundle.classes,
-    }
-    with open(os.path.join(path, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    manifest_path = os.path.join(path, MANIFEST)
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
+    records, blobs = [], {}
+    for rec, value in tensors:
+        raw = np.asarray(value, dtype=DTYPES[rec["dtype"]]).tobytes(order="C")
+        chunks = blobs.setdefault(rec["file"], [])
+        records.append({**rec, "offset": sum(map(len, chunks)), "bytes": len(raw),
+                        "shape": list(np.shape(value))})
+        chunks.append(raw)
+    for name, chunks in blobs.items():
+        with open(os.path.join(path, name), "wb") as f:
+            f.write(b"".join(chunks))
+    with open(manifest_path + ".tmp", "w") as f:
+        json.dump({"byte_order": "little", "tensors": records, "meta": meta}, f,
+                  indent=1, sort_keys=True)
         f.write("\n")
-    with open(os.path.join(path, "features.bin"), "wb") as f:
-        f.write(feats.tobytes(order="C"))
-    with open(os.path.join(path, "labels.bin"), "wb") as f:
-        f.write(labels.tobytes(order="C"))
+    os.replace(manifest_path + ".tmp", manifest_path)
     return path
 
 
-def _read_blob(path, rec, what):
-    np_dtype = DTYPES.get(rec["dtype"])
-    if np_dtype is None:
-        raise FormatError(f"{what}: unknown dtype {rec['dtype']!r}")
-    expected = int(np.prod(rec["shape"])) * 4
-    with open(os.path.join(path, rec["file"]), "rb") as f:
-        raw = f.read()
-    if len(raw) != expected:
-        raise FormatError(
-            f"{what}: blob length mismatch, expected {expected} bytes, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=np_dtype).reshape(rec["shape"]).copy()
+def has_artifact(path) -> bool:
+    """True when `path` holds a completely written artifact."""
+    return os.path.exists(os.path.join(path, MANIFEST))
+
+
+def _require(obj, keys, where):
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise FormatError(f"{where} has no {key!r}")
+
+
+def read_artifact(path, kind: str):
+    """(record, array) pairs and meta of the `kind` artifact at `path`, its
+    directory or its manifest file."""
+    if os.path.isfile(path):
+        path = os.path.dirname(path)
+    where = f"{kind} manifest {path}"
+    names, record_keys, meta_keys = KINDS[kind]
+    try:
+        with open(os.path.join(path, MANIFEST)) as f:
+            manifest = json.load(f)
+        _require(manifest, ("byte_order", "tensors", "meta"), where)
+        if manifest["byte_order"] != "little":
+            raise FormatError(f"{where}: unsupported byte order")
+        _require(manifest["meta"], meta_keys, f"{where}: meta")
+        blobs, out = {}, []
+        for i, rec in enumerate(manifest["tensors"]):
+            _require(rec, RECORD_KEYS + record_keys, f"{where}: tensor {i}")
+            if rec["dtype"] not in DTYPES:
+                raise FormatError(f"{where}: tensor {i}: unknown dtype {rec['dtype']!r}")
+            if rec["file"] not in blobs:
+                with open(os.path.join(path, rec["file"]), "rb") as f:
+                    blobs[rec["file"]] = f.read()
+            dtype = np.dtype(DTYPES[rec["dtype"]])
+            raw = blobs[rec["file"]][rec["offset"] : rec["offset"] + rec["bytes"]]
+            expected = int(np.prod(rec["shape"])) * dtype.itemsize
+            if len(raw) != expected:
+                raise FormatError(f"{where}: tensor {i}: expected {expected} bytes, "
+                                  f"got {len(raw)}")
+            out.append((rec, np.frombuffer(raw, dtype).reshape(rec["shape"]).copy()))
+        _require({rec["name"]: rec for rec, _ in out}, names, f"{where}: tensors")
+    except (OSError, TypeError, ValueError) as exc:
+        raise FormatError(f"cannot read {kind} at {path}: {exc}") from exc
+    return out, manifest["meta"]
+
+
+def save_bundle(bundle: Bundle, path) -> str:
+    label_dtype = "i32" if bundle.label_kind == "classification" else "f32"
+    return write_artifact(path, [
+        ({"name": "features", "file": "features.bin", "dtype": "f32"}, bundle.features),
+        ({"name": "labels", "file": "labels.bin", "dtype": label_dtype}, bundle.labels),
+    ], {"name": bundle.name, "label_kind": bundle.label_kind, "classes": bundle.classes})
 
 
 def load_bundle(path) -> Bundle:
-    if os.path.isfile(path):
-        path = os.path.dirname(path)
-    try:
-        with open(os.path.join(path, "manifest.json")) as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read bundle manifest at {path}: {exc}") from exc
-    if manifest.get("byte_order") != "little":
-        raise FormatError("unsupported byte order")
-    feats = _read_blob(path, manifest["features"], "features").astype(np.float32)
-    labels = _read_blob(path, manifest["labels"], "labels")
-    return Bundle(
-        name=manifest.get("name", os.path.basename(path)),
-        features=feats,
-        labels=labels,
-        label_kind=manifest["label_kind"],
-        classes=int(manifest["classes"]),
-    )
+    tensors, meta = read_artifact(path, "bundle")
+    arrays = {rec["name"]: value for rec, value in tensors}
+    return Bundle(meta["name"], arrays["features"], arrays["labels"],
+                  meta["label_kind"], int(meta["classes"]))
 
 
 def load_csv(path, label_column: str | None = None) -> Bundle:

@@ -9,15 +9,14 @@ inputs (and, for parameter-space checks, plain dicts of float64 arrays).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import nn
-from .errors import ContractError, FormatError, ShapeError
+from .bundles import read_artifact, write_artifact
+from .errors import ContractError, ShapeError
 from .tensor import DTYPE, make_rng
 
 PROVENANCE = ("pretrained", "randomly-initialized", "warm-init")
@@ -72,55 +71,19 @@ class ParameterSet:
             out.add(n, p.value.copy(), p.trainable, p.provenance)
         return out
 
-    # -- checkpoint format: manifest.json + params.bin (raw little-endian f32)
-
     def save(self, path, meta: dict | None = None):
-        os.makedirs(path, exist_ok=True)
-        manifest = {"dtype": "f32", "byte_order": "little", "params": [], "meta": meta or {}}
-        offset = 0
-        blobs = []
-        for n, p in self._entries.items():
-            raw = p.value.astype("<f4").tobytes(order="C")
-            manifest["params"].append(
-                {
-                    "name": n,
-                    "shape": list(p.value.shape),
-                    "trainable": p.trainable,
-                    "provenance": p.provenance,
-                    "offset": offset,
-                    "bytes": len(raw),
-                }
-            )
-            blobs.append(raw)
-            offset += len(raw)
-        with open(os.path.join(path, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=1)
-            f.write("\n")
-        with open(os.path.join(path, "params.bin"), "wb") as f:
-            f.write(b"".join(blobs))
+        """Checkpoint: one artifact directory (see bundles), all tensors in params.bin."""
+        tensors = [({"name": n, "file": "params.bin", "dtype": "f32", "trainable": p.trainable,
+                     "provenance": p.provenance}, p.value) for n, p in self._entries.items()]
+        write_artifact(path, tensors, meta or {})
 
     @classmethod
     def load(cls, path) -> tuple["ParameterSet", dict]:
-        try:
-            with open(os.path.join(path, "manifest.json")) as f:
-                manifest = json.load(f)
-            with open(os.path.join(path, "params.bin"), "rb") as f:
-                blob = f.read()
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot read checkpoint at {path}: {exc}") from exc
-        if manifest.get("dtype") != "f32" or manifest.get("byte_order") != "little":
-            raise FormatError("unsupported checkpoint dtype/byte order")
+        tensors, meta = read_artifact(path, "checkpoint")
         out = cls()
-        for rec in manifest["params"]:
-            n_el = int(np.prod(rec["shape"])) if rec["shape"] else 1
-            raw = blob[rec["offset"] : rec["offset"] + rec["bytes"]]
-            if len(raw) != n_el * 4:
-                raise FormatError(
-                    f"parameter {rec['name']}: expected {n_el * 4} bytes, got {len(raw)}"
-                )
-            arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).copy()
-            out.add(rec["name"], arr, rec["trainable"], rec["provenance"])
-        return out, manifest.get("meta", {})
+        for rec, value in tensors:
+            out.add(rec["name"], value, rec["trainable"], rec["provenance"])
+        return out, meta
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bundles import Bundle, load_bundle, save_bundle
+from .bundles import Bundle, has_artifact, load_bundle, save_bundle
 from .config import AlignConfig, ExperimentConfig, StageConfig, run_mode
 from .distances import (
     LabeledDataset,
@@ -502,7 +502,7 @@ def run_pipeline(cfg: ExperimentConfig, mode: str | None = None):
     if uses.pretrained_body:
         source = load_bundle(cfg.paths["source_bundle"])
         ckpt_path = cfg.path("checkpoint")
-        if os.path.exists(os.path.join(ckpt_path, "manifest.json")):
+        if has_artifact(ckpt_path):
             checkpoint, _meta = ParameterSet.load(ckpt_path)
         else:
             model, _rec = pretrain_source(source, cfg, out_dir=ckpt_path)
@@ -510,7 +510,7 @@ def run_pipeline(cfg: ExperimentConfig, mode: str | None = None):
 
     if uses.aligned_embedder:
         cache_path = cfg.path("cache")
-        if os.path.exists(os.path.join(cache_path, "manifest.json")):
+        if has_artifact(cache_path):
             cache = load_bundle(cache_path)
         else:
             src_model = _source_model(cfg, source, checkpoint)

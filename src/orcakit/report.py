@@ -133,11 +133,12 @@ def report_schema() -> dict:
         return json.load(f)
 
 
-def canonical_record(record: dict) -> dict:
-    """Record minus volatile fields; two runs of the same config/seed must
-    agree on this form bitwise."""
-    out = {k: v for k, v in record.items() if k != "timing"}
-    return out
+def canonical_record(record):
+    """Record minus volatile fields (`timing` at every level); two runs of the
+    same config/seed must agree on this form bitwise."""
+    if isinstance(record, dict):
+        return {k: canonical_record(v) for k, v in record.items() if k != "timing"}
+    return [canonical_record(v) for v in record] if isinstance(record, list) else record
 
 
 def write_report(record: dict, out_dir) -> dict:

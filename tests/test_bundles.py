@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from orcakit.bundles import (
     synth_task,
 )
 from orcakit.errors import ContractError, FormatError
+from orcakit.models import ParameterSet
 
 
 class TestBundleIO:
@@ -74,6 +76,47 @@ class TestBundleIO:
         out = load_bundle(os.path.join(tmp_path, "b", "manifest.json"))
         assert out.n == 6
 
+    def test_old_layout_rejected(self, tmp_path):
+        d = tmp_path / "b"
+        d.mkdir()
+        (d / "manifest.json").write_text(json.dumps({
+            "name": "toy", "byte_order": "little", "label_kind": "classification",
+            "classes": 3,
+            "features": {"file": "features.bin", "dtype": "f32", "shape": [1, 1]},
+            "labels": {"file": "labels.bin", "dtype": "i32", "shape": [1]}}))
+        with pytest.raises(FormatError, match=rf"{re.escape(str(d))}.* has no 'tensors'"):
+            load_bundle(d)
+
+    @pytest.mark.parametrize("drop,missing", [
+        (lambda m: m.pop("tensors"), "'tensors'"),
+        (lambda m: m.pop("meta"), "'meta'"),
+        (lambda m: m["meta"].pop("label_kind"), "meta has no 'label_kind'"),
+        (lambda m: m["tensors"][1].pop("offset"), "tensor 1 has no 'offset'"),
+        (lambda m: m["tensors"].pop(0), "tensors has no 'features'"),
+    ], ids=["tensors", "meta", "meta-key", "record-key", "tensor"])
+    def test_missing_key_names_path_and_key(self, tmp_path, drop, missing):
+        save_bundle(self._bundle(), tmp_path / "b")
+        mpath = tmp_path / "b" / "manifest.json"
+        m = json.loads(mpath.read_text())
+        drop(m)
+        mpath.write_text(json.dumps(m))
+        with pytest.raises(FormatError, match=rf"{re.escape(str(tmp_path / 'b'))}.*{missing}"):
+            load_bundle(tmp_path / "b")
+
+    def test_checkpoint_is_not_a_bundle(self, tmp_path):
+        ps = ParameterSet()
+        ps.add("w", np.ones((2, 3)))
+        ps.save(tmp_path / "ck")
+        where = re.escape(str(tmp_path / "ck"))
+        with pytest.raises(FormatError, match=rf"{where}.*meta has no 'name'"):
+            load_bundle(tmp_path / "ck")
+
+    def test_bundle_is_not_a_checkpoint(self, tmp_path):
+        save_bundle(self._bundle(), tmp_path / "b")
+        where = re.escape(str(tmp_path / "b"))
+        with pytest.raises(FormatError, match=rf"{where}.*has no 'trainable'"):
+            ParameterSet.load(tmp_path / "b")
+
     def test_subset(self):
         b = self._bundle()
         s = b.subset(np.array([1, 3]))
@@ -84,6 +127,43 @@ class TestBundleIO:
         with pytest.raises(ContractError):
             Bundle("x", np.zeros((3, 1, 2), np.float32),
                    np.zeros(2, np.int32), "classification", 2)
+
+
+def _save_bundle(path):
+    save_bundle(synth_blobs2d(n=8, size=8, seed=0), path)
+
+
+def _save_checkpoint(path):
+    ps = ParameterSet()
+    ps.add("w", np.ones((2, 3)))
+    ps.add("b", np.zeros(3))
+    ps.save(path, meta={"k": 1})
+
+
+@pytest.mark.parametrize("save,blob", [(_save_bundle, "labels.bin"),
+                                       (_save_checkpoint, "params.bin")],
+                         ids=["bundle", "checkpoint"])
+@pytest.mark.parametrize("at", ["blob", "manifest"])
+@pytest.mark.parametrize("overwrite", [False, True], ids=["fresh", "overwrite"])
+def test_interrupted_save_leaves_no_manifest(tmp_path, monkeypatch, save, blob, at,
+                                             overwrite):
+    path = tmp_path / "a"
+    if overwrite:
+        save(path)
+    if at == "blob":
+        # a directory where the blob goes makes its write fail
+        path.mkdir(exist_ok=True)
+        if (path / blob).exists():
+            (path / blob).unlink()
+        (path / blob).mkdir()
+    else:
+        def partial_dump(obj, f, **kwargs):
+            f.write("{")
+            raise OSError("disk full")
+        monkeypatch.setattr(json, "dump", partial_dump)
+    with pytest.raises(OSError):
+        save(path)
+    assert not (path / "manifest.json").exists()
 
 
 class TestCSV:

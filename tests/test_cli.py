@@ -9,6 +9,7 @@ import pytest
 from orcakit import pipeline
 from orcakit.bundles import load_bundle, save_bundle, synth_blobs2d, synth_spectra1d
 from orcakit.cli import main
+from orcakit.models import ParameterSet
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,16 @@ class TestSynthAndDistance:
         assert code == 0
         rec = json.loads(out)
         assert rec["value"] >= 0
+
+    def test_distance_to_a_checkpoint_exits_one(self, capsys, tmp_path):
+        save_bundle(synth_blobs2d(n=16, size=8, seed=0), tmp_path / "a")
+        ps = ParameterSet()
+        ps.add("w", np.ones((2, 3)))
+        ps.save(tmp_path / "ck")
+        code, _, err = run_cli(capsys, "distance", "--metric", "mmd",
+                               "--a", str(tmp_path / "a"), "--b", str(tmp_path / "ck"))
+        assert code == 1
+        assert err.startswith(f"error: bundle manifest {tmp_path / 'ck'}")
 
     def test_distance_self_near_zero(self, capsys, tmp_path):
         save_bundle(synth_blobs2d(n=16, size=8, seed=0), tmp_path / "a")

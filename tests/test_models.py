@@ -3,7 +3,7 @@ import pytest
 from conftest import fd_check, to_f64
 
 from orcakit import nn
-from orcakit.errors import ContractError, ShapeError
+from orcakit.errors import ContractError, FormatError, ShapeError
 from orcakit.models import (
     BodySpec,
     EmbedderSpec,
@@ -376,5 +376,5 @@ class TestCheckpoint:
         m.params.save(tmp_path / "ck")
         blob = (tmp_path / "ck" / "params.bin").read_bytes()
         (tmp_path / "ck" / "params.bin").write_bytes(blob[:-8])
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match=r"expected \d+ bytes, got \d+"):
             ParameterSet.load(tmp_path / "ck")

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from orcakit.pipeline import (
     target_labels_for_alignment,
     worker_count,
 )
-from orcakit.report import report_schema
+from orcakit.report import canonical_record, report_schema
 from orcakit.tensor import make_rng
 
 
@@ -570,6 +571,32 @@ class TestEndToEnd:
         _, rec = run_pipeline(cfg, "naive_ft")
         assert open(ckpt, "rb").read() == before
         assert rec["align"] is None
+
+    def test_two_runs_share_a_canonical_record(self, tmp_path):
+        cfg = self._write_inputs(tmp_path)
+        _, first = run_pipeline(cfg, "orca")
+        _, second = run_pipeline(cfg, "orca")
+        assert canonical_record(first) == canonical_record(second)
+
+    def test_interrupted_checkpoint_is_pretrained_again(self, tmp_path, monkeypatch):
+        cfg = self._write_inputs(tmp_path / "run")
+        ckpt = os.path.join(cfg.out_dir, "checkpoint")
+
+        def partial_dump(obj, f, **kwargs):
+            f.write("{")
+            raise OSError("disk full")
+        with monkeypatch.context() as m:
+            m.setattr(json, "dump", partial_dump)
+            with pytest.raises(OSError, match="disk full"):
+                run_pipeline(cfg, "naive_ft")
+        assert os.path.exists(os.path.join(ckpt, "params.bin"))
+        assert not os.path.exists(os.path.join(ckpt, "manifest.json"))
+        run_pipeline(cfg, "naive_ft")
+        clean = self._write_inputs(tmp_path / "clean")
+        run_pipeline(clean, "naive_ft")
+        for name in ("manifest.json", "params.bin"):
+            assert (open(os.path.join(ckpt, name), "rb").read()
+                    == open(os.path.join(clean.out_dir, "checkpoint", name), "rb").read())
 
     @pytest.mark.parametrize("mode,written", [("scratch", set()),
                                               ("naive_ft", {"checkpoint"})])

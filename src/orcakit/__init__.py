@@ -28,9 +28,6 @@ from .models import Model, ParameterSet
 from .ot import TransportPlan, gaussian_w2, sinkhorn_log
 from .pipeline import run_pipeline, sweep_train_fraction
 from .report import metric, performance_profile, read_report, write_report
-from .tensor import retain_freed_memory
-
-retain_freed_memory()
 
 __all__ = [
     "Bundle", "load_bundle", "save_bundle", "synth_task",

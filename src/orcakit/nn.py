@@ -2,7 +2,10 @@
 
 Every forward op returns (output, cache); the matching backward consumes the
 cache and returns input/parameter gradients. Compute dtype follows the input
-(float32 or float64); parameters are cast on the fly.
+(float32 or float64); parameters are cast on the fly. Element-wise steps
+after the first work in place on the array that step allocated: at training
+sizes a fresh array per step costs more than the arithmetic, and the bits
+are the same.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ class ForwardTape:
 
 def linear_fw(x, w, b):
     w = w.astype(x.dtype, copy=False)
-    b = b.astype(x.dtype, copy=False)
-    return x @ w + b, (x, w)
+    out = x @ w
+    out += b.astype(x.dtype, copy=False)
+    return out, (x, w)
 
 
 def linear_bw(g, cache):
@@ -52,12 +56,13 @@ def linear_bw(g, cache):
 def layernorm_fw(x, scale, shift):
     scale = scale.astype(x.dtype, copy=False)
     shift = shift.astype(x.dtype, copy=False)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * scale + shift, (xhat, inv, scale)
+    xhat *= inv
+    out = xhat * scale
+    out += shift
+    return out, (xhat, inv, scale)
 
 
 def layernorm_bw(g, cache):
@@ -66,11 +71,10 @@ def layernorm_bw(g, cache):
     gxhat = g * scale
     gscale = np.sum(g * xhat, axis=tuple(range(g.ndim - 1)))
     gshift = np.sum(g, axis=tuple(range(g.ndim - 1)))
-    gx = inv / d * (
-        d * gxhat
-        - np.sum(gxhat, axis=-1, keepdims=True)
-        - xhat * np.sum(gxhat * xhat, axis=-1, keepdims=True)
-    )
+    gx = d * gxhat
+    gx -= np.sum(gxhat, axis=-1, keepdims=True)
+    gx -= xhat * np.sum(gxhat * xhat, axis=-1, keepdims=True)
+    gx *= inv / d
     return gx, gscale, gshift
 
 
@@ -79,7 +83,9 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu_fw(x):
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, (x, cdf)
 
 
@@ -90,14 +96,17 @@ def gelu_bw(g, cache):
 
 
 def softmax_fw(x):
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = x - x.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     return p, p
 
 
 def softmax_bw(g, p):
-    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
+    gx = g * p
+    np.subtract(g, np.sum(gx, axis=-1, keepdims=True), out=gx)
+    gx *= p
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +145,8 @@ def attention_bw(g, cache, prefix):
     g_ctx = g_merged.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
     g_probs = g_ctx @ vh.transpose(0, 1, 3, 2)
     g_vh = probs.transpose(0, 1, 3, 2) @ g_ctx
-    g_scores = softmax_bw(g_probs, probs) / np.sqrt(hd)
+    g_scores = softmax_bw(g_probs, probs)
+    g_scores /= np.sqrt(hd)
     g_qh = g_scores @ kh
     g_kh = g_scores.transpose(0, 1, 3, 2) @ qh
 

@@ -6,7 +6,6 @@ promotes to float64 so reductions and eigensolves stay stable.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 
 import numpy as np
@@ -14,28 +13,6 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 DTYPE = np.float32
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def retain_freed_memory() -> bool:
-    """Let glibc malloc keep freed heap pages for reuse instead of handing them
-    back to the OS.
-
-    Each training step allocates and frees activations of a few MB. Under
-    glibc's defaults those blocks go back to the OS on every free and are
-    faulted in again on the next allocation, which more than doubles the
-    cost of element-wise ops on them (a softmax over a 16x4x64x64 float64
-    batch: 4.0 ms against 1.6 ms on a 2-core host). Here blocks up to 32 MB
-    come from the heap, and up to 128 MB of free heap top stay mapped.
-    Changes no result. Returns False where the process has no `mallopt`
-    (a C library other than glibc), leaving the allocator as it is.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    return bool(mallopt(_M_TRIM_THRESHOLD, 128 << 20) and mallopt(_M_MMAP_THRESHOLD, 32 << 20))
 
 
 def _key_to_ints(key) -> list[int]:
@@ -102,10 +79,14 @@ def sqrtm_psd(m: np.ndarray, sym_tol: float = 1e-6, eig_floor: float = -1e-8) ->
     return (s + s.T) / 2.0
 
 
-def logsumexp_rows(m: np.ndarray, axis: int) -> np.ndarray:
-    """Row/column log-sum-exp used by the log-domain Sinkhorn sweeps."""
+def logsumexp_rows(m: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """Row/column log-sum-exp used by the log-domain Sinkhorn sweeps; with
+    `overwrite` a float64 `m` serves as the scratch buffer."""
     m = np.asarray(m, dtype=np.float64)
     # the ufunc reductions directly: the np.max / np.sum wrappers cost more than
     # the arithmetic on a class-pair sized matrix, and give the same bits
     hi = np.maximum.reduce(m, axis=axis, keepdims=True)
-    return hi.squeeze(axis) + np.log(np.add.reduce(np.exp(m - hi), axis=axis))
+    e = np.subtract(m, hi, out=m if overwrite else None)
+    out = np.log(np.add.reduce(np.exp(e, out=e), axis=axis))
+    out += hi.squeeze(axis)
+    return out

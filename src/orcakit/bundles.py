@@ -55,7 +55,8 @@ KINDS = {"bundle": (("features", "labels"), (), ("name", "label_kind", "classes"
 
 def write_artifact(path, tensors, meta: dict) -> str:
     """Write (record, array) pairs and `meta`; each record names its tensor, blob
-    file and dtype. The manifest is removed first and renamed in last."""
+    file and dtype. The manifest is removed first and renamed in last, so an
+    interrupted process leaves none; nothing is fsynced."""
     os.makedirs(path, exist_ok=True)
     manifest_path = os.path.join(path, MANIFEST)
     if os.path.exists(manifest_path):
@@ -118,6 +119,10 @@ def read_artifact(path, kind: str):
                 raise FormatError(f"{where}: tensor {i}: expected {expected} bytes, "
                                   f"got {len(raw)}")
             out.append((rec, np.frombuffer(raw, dtype).reshape(rec["shape"]).copy()))
+        for name, blob in blobs.items():
+            end = max(rec["offset"] + rec["bytes"] for rec, _ in out if rec["file"] == name)
+            if len(blob) != end:
+                raise FormatError(f"{where}: {name}: expected {end} bytes, got {len(blob)}")
         _require({rec["name"]: rec for rec, _ in out}, names, f"{where}: tensors")
     except (OSError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read {kind} at {path}: {exc}") from exc

@@ -3,9 +3,7 @@
 Every forward op returns (output, cache); the matching backward consumes the
 cache and returns input/parameter gradients. Compute dtype follows the input
 (float32 or float64); parameters are cast on the fly. Element-wise steps
-after the first work in place on the array that step allocated: at training
-sizes a fresh array per step costs more than the arithmetic, and the bits
-are the same.
+work in place on the array their op just allocated, which keeps the bits.
 """
 
 from __future__ import annotations

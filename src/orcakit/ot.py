@@ -57,16 +57,6 @@ def default_eps(cost: np.ndarray) -> float:
     return DEFAULT_EPS_FRACTION * m if m > 0 else 1e-3
 
 
-def _dual_update(log_w, shifted, eps, axis):
-    """eps * (log_w - logsumexp(shifted / eps)) along `axis`, in the order the
-    expression reads; `shifted` is a scratch buffer and is overwritten."""
-    shifted /= eps
-    out = logsumexp_rows(shifted, axis=axis, overwrite=True)
-    np.subtract(log_w, out, out=out)
-    out *= eps
-    return out
-
-
 def sinkhorn_log(cost, a, b, eps=None, max_iter: int = 1000, tol: float = MARGINAL_TOL) -> TransportPlan:
     """Entropy-regularized OT in the log domain (dual potentials f, g).
 
@@ -93,30 +83,21 @@ def sinkhorn_log(cost, a, b, eps=None, max_iter: int = 1000, tol: float = MARGIN
     ia = np.flatnonzero(a > 0)
     ib = np.flatnonzero(b > 0)
     c = cost[np.ix_(ia, ib)]
-    la = np.log(a[ia])
-    lb = np.log(b[ib])
-
     a_in, b_in = a[ia], b[ib]
+    la, lb = np.log(a_in), np.log(b_in)
+
     f = np.zeros(ia.size)
     g = np.zeros(ib.size)
     converged = False
     it = 0
-    # small class-pair solves spend most of their time in per-call overhead,
-    # so the sweep works in two scratch matrices and skips the column error
-    # while the row error alone already fails the tolerance
-    work, pi = np.empty_like(c), np.empty_like(c)
     for it in range(1, max_iter + 1):
-        f = _dual_update(la, np.subtract(g, c, out=work), eps, axis=1)
-        g = _dual_update(lb, np.subtract(f[:, None], c, out=work), eps, axis=0)
-        np.add(f[:, None], g, out=pi)
-        pi -= c
-        pi /= eps
-        np.exp(pi, out=pi)
+        f = eps * (la - logsumexp_rows((g - c) / eps, axis=1))
+        g = eps * (lb - logsumexp_rows((f[:, None] - c) / eps, axis=0))
+        pi = np.exp((f[:, None] + g - c) / eps)
+        # the column error matters only once the row error meets the tolerance
         row_err = np.maximum.reduce(np.abs(np.add.reduce(pi, axis=1) - a_in))
-        if not row_err < tol:
-            continue
-        col_err = np.maximum.reduce(np.abs(np.add.reduce(pi, axis=0) - b_in))
-        if max(row_err, col_err) < tol:
+        if row_err < tol and np.maximum.reduce(
+                np.abs(np.add.reduce(pi, axis=0) - b_in)) < tol:
             converged = True
             break
 

@@ -79,14 +79,12 @@ def sqrtm_psd(m: np.ndarray, sym_tol: float = 1e-6, eig_floor: float = -1e-8) ->
     return (s + s.T) / 2.0
 
 
-def logsumexp_rows(m: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
-    """Row/column log-sum-exp used by the log-domain Sinkhorn sweeps; with
-    `overwrite` a float64 `m` serves as the scratch buffer."""
+def logsumexp_rows(m: np.ndarray, axis: int) -> np.ndarray:
+    """Row/column log-sum-exp used by the log-domain Sinkhorn sweeps."""
     m = np.asarray(m, dtype=np.float64)
-    # the ufunc reductions directly: the np.max / np.sum wrappers cost more than
-    # the arithmetic on a class-pair sized matrix, and give the same bits
+    # ufunc reductions directly: cheaper than the np.max / np.sum wrappers, same bits
     hi = np.maximum.reduce(m, axis=axis, keepdims=True)
-    e = np.subtract(m, hi, out=m if overwrite else None)
+    e = m - hi
     out = np.log(np.add.reduce(np.exp(e, out=e), axis=axis))
     out += hi.squeeze(axis)
     return out

@@ -55,6 +55,14 @@ class TestBundleIO:
         with pytest.raises(FormatError, match=r"expected \d+ bytes, got \d+"):
             load_bundle(tmp_path / "b")
 
+    def test_bytes_past_the_last_tensor_rejected(self, tmp_path):
+        save_bundle(self._bundle(), tmp_path / "b")
+        blob = tmp_path / "b" / "features.bin"
+        n = len(blob.read_bytes())
+        blob.write_bytes(blob.read_bytes() + b"\0" * 4)
+        with pytest.raises(FormatError, match=f"features.bin: expected {n} bytes, got {n + 4}"):
+            load_bundle(tmp_path / "b")
+
     def test_bad_manifest_rejected(self, tmp_path):
         d = tmp_path / "b"
         d.mkdir()

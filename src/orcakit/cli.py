@@ -227,10 +227,9 @@ def build_parser() -> _Parser:
     p = _Parser(prog="orcakit", description="align-then-refine cross-modal workflow")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required)
+    def add_common(sp):
+        sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("synth", help="generate a synthetic task bundle")
     sp.add_argument("--kind", required=True, choices=["blobs2d", "spectra1d", "advect1d"])
@@ -260,6 +259,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("cache-source", help="cache embedded source features")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=None, help="cache draw seed")
     sp.add_argument("--n", type=int, default=None,
                     help="rows to cache (default: min(5000, source rows))")
     sp.set_defaults(func=cmd_cache_source)
@@ -271,6 +271,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("refine", help="stage 3: fine-tune on the target task")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=None, help="refine seed")
     sp.add_argument("--mode", required=True, choices=sorted(_MODE_NAMES))
     sp.add_argument("--train-fraction", type=float, default=None)
     sp.add_argument("--eval-bundle", default=None)
@@ -278,6 +279,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("pipeline", help="stages 1-3 end to end")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=None, help="cache draw seed")
     sp.add_argument("--mode", choices=sorted(_MODE_NAMES), default=None)
     sp.set_defaults(func=cmd_pipeline)
 

@@ -2,9 +2,11 @@
 small pre-norm transformer body, classification / dense (pixelshuffle) heads,
 trainable-parameter masking, and checkpoint I/O.
 
-Parameters live in a ParameterSet as float32; forward/backward compute in the
-dtype of the input batch, so tests can run a float64 shadow by passing float64
-inputs (and, for parameter-space checks, plain dicts of float64 arrays).
+Each forward returns (output, cache) and the matching backward takes that
+cache, as in nn. Parameters live in a ParameterSet as float32; forward/backward
+compute in the dtype of the input batch, so tests can run a float64 shadow by
+passing float64 inputs (and, for parameter-space checks, plain dicts of
+float64 arrays).
 """
 
 from __future__ import annotations
@@ -269,8 +271,8 @@ def _nearest_resize_2d(x, hw):
     return x[:, :, ri][:, :, :, ci]
 
 
-def embedder_forward(spec: EmbedderSpec, params, x, positional: bool = True):
-    """raw batch -> (B, S', D) sequence plus the backprop tape.
+def embedder_forward(spec: EmbedderSpec, params, x):
+    """raw batch -> ((B, S', D) sequence, cache).
 
     Fixed-length mode (k > 1 or 2D) zero-pads the flattened patches to S;
     k=1 1D embedders accept any length and resample the positional table.
@@ -282,7 +284,6 @@ def embedder_forward(spec: EmbedderSpec, params, x, positional: bool = True):
         raise ShapeError(f"expected {spec.c_in} channels, got {x.shape[1]}")
     if min(x.shape[2:]) < 1:
         raise ContractError("empty spatial extent")
-    tape = nn.ForwardTape()
     variable = spec.input_rank == 1 and spec.k == 1
 
     if spec.input_rank == 2:
@@ -293,70 +294,49 @@ def embedder_forward(spec: EmbedderSpec, params, x, positional: bool = True):
     proj, lin_cache = nn.linear_fw(patches, params["embedder.conv.weight"],
                                    params["embedder.conv.bias"])
 
-    if variable:
-        seq = proj
-        s_eff = s_raw
-    else:
+    seq = proj
+    if not variable:
         if s_raw > spec.seq_len:
             raise ShapeError(
                 f"{s_raw} patches exceed sequence length {spec.seq_len}"
             )
-        s_eff = spec.seq_len
         if s_raw < spec.seq_len:
             seq = np.zeros((b, spec.seq_len, spec.embed_dim), dtype=proj.dtype)
             seq[:, :s_raw] = proj
-        else:
-            seq = proj
 
     normed, ln_cache = nn.layernorm_fw(seq, params["embedder.ln.scale"],
                                        params["embedder.ln.shift"])
-    pos_cache = None
-    if positional:
-        table = params["embedder.pos"].astype(normed.dtype, copy=False)
-        pos, pos_cache = nn.interp_positional(table, s_eff)
-        out = normed + pos[None, :, :]
-    else:
-        out = normed
-
-    tape.caches = {
-        "x_shape": x.shape,
-        "lin": lin_cache,
-        "ln": ln_cache,
-        "pos": pos_cache,
-        "positional": positional,
-        "s_raw": s_raw,
-        "s_eff": s_eff,
-    }
-    return out, tape
+    table = params["embedder.pos"].astype(normed.dtype, copy=False)
+    pos, pos_cache = nn.interp_positional(table, seq.shape[1])
+    out = normed + pos[None, :, :]
+    return out, (lin_cache, ln_cache, pos_cache, s_raw)
 
 
-def embedder_backward(spec: EmbedderSpec, params, tape: nn.ForwardTape, g):
-    tape.consume()
-    c = tape.caches
+def embedder_backward(spec: EmbedderSpec, params, cache, g):
+    lin_cache, ln_cache, pos_cache, s_raw = cache
     grads = {}
-    if c["positional"]:
-        g_pos = g.sum(axis=0)
-        if c["pos"] is None:
-            grads["embedder.pos"] = g_pos
-        else:
-            grads["embedder.pos"] = nn.interp_positional_bw(g_pos, c["pos"])
-    g_seq, gscale, gshift = nn.layernorm_bw(g, c["ln"])
+    g_pos = g.sum(axis=0)
+    if pos_cache is None:
+        grads["embedder.pos"] = g_pos
+    else:
+        grads["embedder.pos"] = nn.interp_positional_bw(g_pos, pos_cache)
+    g_seq, gscale, gshift = nn.layernorm_bw(g, ln_cache)
     grads["embedder.ln.scale"] = gscale
     grads["embedder.ln.shift"] = gshift
-    g_proj = g_seq[:, : c["s_raw"]]
-    _, gw, gb = nn.linear_bw(g_proj, c["lin"])
+    g_proj = g_seq[:, :s_raw]
+    _, gw, gb = nn.linear_bw(g_proj, lin_cache)
     grads["embedder.conv.weight"] = gw
     grads["embedder.conv.bias"] = gb
     return grads
 
 
 def body_forward(spec: BodySpec, params, x):
+    """(B, S, D) -> ((B, S, D), cache); the cache is one tuple per block."""
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[2] != spec.embed_dim:
         raise ShapeError(
             f"body expects (B, S, {spec.embed_dim}), got {x.shape}"
         )
-    tape = nn.ForwardTape()
     blocks = []
     for i in range(spec.layers):
         p = f"body.block{i}"
@@ -369,16 +349,14 @@ def body_forward(spec: BodySpec, params, x):
         m2, c_m2 = nn.linear_fw(act, params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])
         x = h + m2
         blocks.append((c_ln1, c_attn, c_ln2, c_m1, c_act, c_m2))
-    tape.caches = {"blocks": blocks}
-    return x, tape
+    return x, blocks
 
 
-def body_backward(spec: BodySpec, params, tape: nn.ForwardTape, g):
-    tape.consume()
+def body_backward(spec: BodySpec, params, cache, g):
     grads = {}
     for i in reversed(range(spec.layers)):
         p = f"body.block{i}"
-        c_ln1, c_attn, c_ln2, c_m1, c_act, c_m2 = tape.caches["blocks"][i]
+        c_ln1, c_attn, c_ln2, c_m1, c_act, c_m2 = cache[i]
         g_m2 = g
         g_act, gw2, gb2 = nn.linear_bw(g_m2, c_m2)
         grads[f"{p}.mlp.w2"] = gw2
@@ -402,19 +380,18 @@ def body_backward(spec: BodySpec, params, tape: nn.ForwardTape, g):
 
 
 def head_forward(spec: HeadSpec, params, seq):
+    """(B, S, D) -> (logits or dense field, cache)."""
     seq = np.asarray(seq)
     if seq.ndim != 3:
         raise ShapeError(f"head expects (B, S, D), got {seq.shape}")
-    tape = nn.ForwardTape()
+    b, s, _ = seq.shape
     if spec.mode == "classification":
         pooled = seq.mean(axis=1)
         out, lin_cache = nn.linear_fw(pooled, params["head.linear.weight"],
                                       params["head.linear.bias"])
-        tape.caches = {"lin": lin_cache, "s": seq.shape[1]}
-        return out, tape
+        return out, (lin_cache, s)
 
     # dense: per-position linear, mold to channel-first, pixel-shuffle up
-    b, s, _ = seq.shape
     if spec.out_extents:
         coarse = tuple(e // spec.k for e in spec.out_extents)
         if int(np.prod(coarse)) != s:
@@ -428,23 +405,19 @@ def head_forward(spec: HeadSpec, params, seq):
         coarse = (s,)
     y, lin_cache = nn.linear_fw(seq, params["head.linear.weight"],
                                 params["head.linear.bias"])
-    ch = y.shape[-1]
-    cf = np.moveaxis(y.reshape(b, *coarse, ch), -1, 1)  # (B, k^nd * K, *coarse)
-    out = nn.pixel_shuffle(cf, spec.k)
-    tape.caches = {"lin": lin_cache, "ch": ch, "b": b, "s": s}
-    return out, tape
+    cf = np.moveaxis(y.reshape(b, *coarse, y.shape[-1]), -1, 1)  # (B, k^nd * K, *coarse)
+    return nn.pixel_shuffle(cf, spec.k), (lin_cache, s)
 
 
-def head_backward(spec: HeadSpec, params, tape: nn.ForwardTape, g):
-    tape.consume()
-    c = tape.caches
+def head_backward(spec: HeadSpec, params, cache, g):
+    lin_cache, s = cache
     if spec.mode == "classification":
-        g_pooled, gw, gb = nn.linear_bw(g, c["lin"])
-        g_seq = np.repeat(g_pooled[:, None, :], c["s"], axis=1) / c["s"]
+        g_pooled, gw, gb = nn.linear_bw(g, lin_cache)
+        g_seq = np.repeat(g_pooled[:, None, :], s, axis=1) / s
         return g_seq, {"head.linear.weight": gw, "head.linear.bias": gb}
     g_cf = nn.pixel_unshuffle(g, spec.k)
-    g_y = np.moveaxis(g_cf, 1, -1).reshape(c["b"], c["s"], c["ch"])
-    g_seq, gw, gb = nn.linear_bw(g_y, c["lin"])
+    g_y = np.moveaxis(g_cf, 1, -1).reshape(len(g), s, -1)
+    g_seq, gw, gb = nn.linear_bw(g_y, lin_cache)
     return g_seq, {"head.linear.weight": gw, "head.linear.bias": gb}
 
 
@@ -470,20 +443,17 @@ class Model:
 
     def forward(self, x, params=None):
         p = self.params if params is None else params
-        seq, t_emb = embedder_forward(self.emb_spec, p, x)
-        hid, t_body = body_forward(self.body_spec, p, seq)
-        out, t_head = head_forward(self.head_spec, p, hid)
-        tape = nn.ForwardTape()
-        tape.caches = {"emb": t_emb, "body": t_body, "head": t_head}
-        return out, tape
+        seq, c_emb = embedder_forward(self.emb_spec, p, x)
+        hid, c_body = body_forward(self.body_spec, p, seq)
+        out, c_head = head_forward(self.head_spec, p, hid)
+        return out, (c_emb, c_body, c_head)
 
-    def backward(self, tape, g_out, params=None):
+    def backward(self, cache, g_out, params=None):
         p = self.params if params is None else params
-        tape.consume()
-        c = tape.caches
-        g_seq, g_head = head_backward(self.head_spec, p, c["head"], g_out)
-        g_emb_out, g_body = body_backward(self.body_spec, p, c["body"], g_seq)
-        g_embed = embedder_backward(self.emb_spec, p, c["emb"], g_emb_out)
+        c_emb, c_body, c_head = cache
+        g_seq, g_head = head_backward(self.head_spec, p, c_head, g_out)
+        g_emb_out, g_body = body_backward(self.body_spec, p, c_body, g_seq)
+        g_embed = embedder_backward(self.emb_spec, p, c_emb, g_emb_out)
         return {**g_head, **g_body, **g_embed}
 
 

@@ -1,9 +1,11 @@
 """Manual forward/backward primitives for the small transformer stack.
 
-Every forward op returns (output, cache); the matching backward consumes the
-cache and returns input/parameter gradients. Compute dtype follows the input
-(float32 or float64); parameters are cast on the fly. Element-wise steps
-work in place on the array their op just allocated, which keeps the bits.
+Every forward op returns (output, cache); the matching backward takes the
+cache and returns input/parameter gradients. No backward writes into a cache,
+so one cache can be replayed; models.py follows the same convention. Compute
+dtype follows the input (float32 or float64); parameters are cast on the fly.
+Element-wise steps work in place on the array their op just allocated, which
+keeps the bits.
 """
 
 from __future__ import annotations
@@ -13,22 +15,9 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 
 LN_EPS = 1e-5
-
-
-class ForwardTape:
-    """Per-pass activation cache; a tape can be replayed backward once."""
-
-    def __init__(self):
-        self.caches: dict = {}
-        self.consumed = False
-
-    def consume(self):
-        if self.consumed:
-            raise ContractError("tape already consumed; rerun forward before backward")
-        self.consumed = True
 
 
 # ---------------------------------------------------------------------------

@@ -213,17 +213,17 @@ def train_supervised(model: Model, train: Bundle, val: Bundle | None,
 
     def step(idx):
         nonlocal held
-        out, tape = model.forward(train.features[idx])
+        out, cache = model.forward(train.features[idx])
         # the previous batch's activations are freed only now, after this
         # forward: freed at the end of each step, malloc hands their pages
         # back to the OS and every forward faults them in again (the desk
         # pretraining took 12x the page faults and 20% longer on 2 cores)
-        held = tape
+        held = cache
         if classification:
             loss, g = softmax_ce(out, train.labels[idx], weights)
         else:
             loss, g = mse_loss(out, train.labels[idx].astype(out.dtype))
-        return loss, model.backward(tape, g)
+        return loss, model.backward(cache, g)
 
     def log_epoch(epoch, train_loss, lr):
         return {"epoch": epoch, "train_loss": train_loss,
@@ -375,12 +375,12 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
     def step(idx):
         nonlocal converged, n_steps
         n_steps += 1
-        seq, tape = embedder_forward(emb_spec, emb_params, target.features[idx])
+        seq, emb_cache = embedder_forward(emb_spec, emb_params, target.features[idx])
         value, gz, ok = _alignment_loss_grad(seq.mean(axis=1), align_labels[idx], src_ds,
                                              stage, step_seed=n_steps)
         converged = converged and ok
         g_seq = np.repeat(gz[:, None, :], seq.shape[1], axis=1) / seq.shape[1]
-        return value, embedder_backward(emb_spec, emb_params, tape, g_seq)
+        return value, embedder_backward(emb_spec, emb_params, emb_cache, g_seq)
 
     def log_epoch(epoch, distance, lr):
         nonlocal converged

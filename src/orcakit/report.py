@@ -48,6 +48,9 @@ def metric(name: str, predictions, targets) -> MetricValue:
         labels = targets.astype(np.int64).ravel()
         if scores.size != labels.size:
             raise ContractError("prediction/target length mismatch")
+        found = np.unique(targets)
+        if not np.isin(found, (0, 1)).all():
+            raise ContractError(f"auroc needs labels 0 and 1, got labels {found.tolist()}")
         pos = labels == 1
         neg = labels == 0
         n_pos, n_neg = int(pos.sum()), int(neg.sum())

@@ -218,8 +218,8 @@ def test_criterion_4_gradient_integrity():
                                           for n, v in p.items()})
         return float(np.sum(out.astype(np.float64) * proj))
 
-    _, tape = model.forward(x, params=params)
-    grads = model.backward(tape, proj.copy(), params=params)
+    _, cache = model.forward(x, params=params)
+    grads = model.backward(cache, proj.copy(), params=params)
     groups = {
         "embedder": {n: g for n, g in grads.items() if n.startswith("embedder.")},
         "body": {n: g for n, g in grads.items() if n.startswith("body.")},

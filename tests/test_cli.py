@@ -30,6 +30,14 @@ class TestBasics:
             main(["transmogrify"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", ["pretrain", "align"])
+    def test_seed_flag_only_where_read(self, capsys, command):
+        # neither command reads the top-level cache-draw seed
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "cfg.json", "--seed", "1"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_contract_error_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "synth", "--kind", "blobs2d",
                                "--classes", "9", "--out", str(tmp_path / "b"))

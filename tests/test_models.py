@@ -62,8 +62,9 @@ class TestEmbedderForward:
         params = init_embedder_params(spec)
         params.set("embedder.conv.weight", np.ones((1, 4)))
         params.set("embedder.conv.bias", np.zeros(4))
+        params.set("embedder.pos", np.zeros((16, 4)))
         x = np.full((1, 1, 16), 3.0)
-        out, _ = embedder_forward(spec, params, x, positional=False)
+        out, _ = embedder_forward(spec, params, x)
         assert np.abs(out).max() < 1e-5
 
     def test_hand_1d_conv(self):
@@ -89,14 +90,15 @@ class TestEmbedderForward:
         assert out.shape == (2, 50, 4)
 
     def test_prefix_equality_without_positional(self):
-        # pointwise embedders are resolution-invariant when positions are off
+        # pointwise embedders are resolution-invariant when positions are zero
         spec = EmbedderSpec(1, 1, 1, 8, 64)
         params = init_embedder_params(spec, seed=3)
+        params.set("embedder.pos", np.zeros((64, 8)))
         rng = make_rng(2)
         x512 = rng.normal(size=(1, 1, 512))
         x256 = x512[:, :, :256]
-        o512, _ = embedder_forward(spec, params, x512, positional=False)
-        o256, _ = embedder_forward(spec, params, x256, positional=False)
+        o512, _ = embedder_forward(spec, params, x512)
+        o256, _ = embedder_forward(spec, params, x256)
         assert np.allclose(o512[:, :256], o256)
 
     def test_empty_spatial_rejected(self):
@@ -123,9 +125,8 @@ class TestBodyForward:
         spec = BodySpec(layers=1, heads=4, embed_dim=8, seq_len=6)
         params = init_body(spec, seed=1)
         x = make_rng(5).normal(size=(2, 6, 8))
-        _, tape = body_forward(spec, params, x)
-        c_attn = tape.caches["blocks"][0][1]
-        probs = c_attn[7]  # the attention cache keeps the softmax output
+        _, cache = body_forward(spec, params, x)
+        probs = cache[0][1][7]  # block 0's attention cache keeps the softmax output
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_shape_mismatch(self):
@@ -145,8 +146,8 @@ class TestBodyForward:
             out, _ = body_forward(spec, p, x)
             return float(np.sum(out * proj))
 
-        out, tape = body_forward(spec, params, x)
-        _, grads = body_backward(spec, params, tape, proj.copy())
+        out, cache = body_forward(spec, params, x)
+        _, grads = body_backward(spec, params, cache, proj.copy())
         err = fd_check(loss, params, grads, rng, n_coords=25, h=1e-5)
         assert err < 1e-4
 
@@ -163,8 +164,8 @@ class TestBodyForward:
             out, _ = body_forward(spec, p32, x)
             return float(np.sum(out.astype(np.float64) * proj))
 
-        out, tape = body_forward(spec, params, x)
-        _, grads = body_backward(spec, params, tape, proj.copy())
+        out, cache = body_forward(spec, params, x)
+        _, grads = body_backward(spec, params, cache, proj.copy())
         p64 = {n: v.astype(np.float64) for n, v in params.items()}
         err = fd_check(loss, p64, grads, rng, n_coords=20, h=3e-3)
         assert err < 1e-2
@@ -242,8 +243,8 @@ class TestModelBackward:
     def test_zero_loss_grad_gives_zero_grads(self):
         m = small_model()
         x = make_rng(13).normal(size=(2, 1, 8))
-        out, tape = m.forward(x)
-        grads = m.backward(tape, np.zeros_like(out))
+        out, cache = m.forward(x)
+        grads = m.backward(cache, np.zeros_like(out))
         assert all(np.abs(g).max() == 0 for g in grads.values())
 
     def test_linear_grad_hand(self):
@@ -266,8 +267,8 @@ class TestModelBackward:
             out, _ = m.forward(x, params=p)
             return float(np.sum(out * proj))
 
-        out, tape = m.forward(x, params=params)
-        grads = m.backward(tape, proj.copy(), params=params)
+        out, cache = m.forward(x, params=params)
+        grads = m.backward(cache, proj.copy(), params=params)
         err = fd_check(loss, params, grads, rng, n_coords=30, h=1e-5)
         assert err < 1e-4
 
@@ -276,24 +277,28 @@ class TestModelBackward:
         rng = make_rng(15)
         x = rng.normal(size=(2, 1, 8))
         params = to_f64(m.params)
-        out, tape = m.forward(x, params=params)
+        out, cache = m.forward(x, params=params)
         proj = rng.normal(size=out.shape)
 
         def loss(p):
             o, _ = m.forward(x, params=p)
             return float(np.sum(o * proj))
 
-        grads = m.backward(tape, proj.copy(), params=params)
+        grads = m.backward(cache, proj.copy(), params=params)
         err = fd_check(loss, params, grads, rng, n_coords=30, h=1e-5)
         assert err < 1e-4
 
-    def test_tape_reuse_rejected(self):
-        m = small_model()
-        x = make_rng(16).normal(size=(1, 1, 8))
-        out, tape = m.forward(x)
-        m.backward(tape, np.ones_like(out))
-        with pytest.raises(ContractError):
-            m.backward(tape, np.ones_like(out))
+    def test_backward_replay_bit_identical(self):
+        # no backward writes into a cache, so a second pass gives the same bits
+        for head_mode in ("classification", "dense"):
+            m = small_model(head_mode=head_mode)
+            x = make_rng(16).normal(size=(2, 1, 8)).astype(np.float32)
+            out, cache = m.forward(x)
+            g = make_rng(18).normal(size=out.shape).astype(np.float32)
+            first = m.backward(cache, g.copy())
+            second = m.backward(cache, g.copy())
+            assert list(first) == list(second)
+            assert all(first[n].tobytes() == second[n].tobytes() for n in first)
 
     def test_shape_composition(self):
         # embedder -> body -> head composes to the declared output shape

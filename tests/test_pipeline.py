@@ -1,5 +1,6 @@
 """Schedules, optimizer, losses, and the three workflow stages on tiny tasks."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -629,12 +630,21 @@ class TestEndToEnd:
             sweep_train_fraction(cfg, [], ["naive_ft"], [0], None, None, None)
 
 
+def _attribute_chain(node):
+    """["a", "b", "c"] for an attribute chain `a.b.c` rooted at a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if parts and isinstance(node, ast.Name) else None
+
+
 def test_benchmark_traced_names_exist():
     """The benchmark tracer wraps these orcakit attributes at `install()`, and
-    its workload calls `pipeline.worker_count`; a traced run fails on any one
-    that is gone."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    its workload reads every `<module>.<name>` chain found below; a benchmark
+    run fails on any one that is gone."""
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", bench / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     for mod_name, attrs in tracer.FUNCTIONS.items():
@@ -644,4 +654,21 @@ def test_benchmark_traced_names_exist():
     for mod_name, cls_name, meth in tracer.METHODS:
         cls = getattr(importlib.import_module(f"orcakit.{mod_name}"), cls_name)
         assert meth in vars(cls), f"orcakit.{mod_name}.{cls_name}.{meth}"
-    assert callable(worker_count)
+
+    tree = ast.parse((bench / "workload.py").read_text())
+    aliases, read = {}, []  # read: (orcakit module, attribute chain)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "orcakit":
+            aliases.update((a.asname or a.name, f"orcakit.{a.name}") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("orcakit."):
+            read += [(node.module, [a.name]) for a in node.names]
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node)
+        if chain and chain[0] in aliases:
+            read.append((aliases[chain[0]], chain[1:]))
+    assert aliases and read, "found no orcakit reads in workload.py"
+    for module, chain in read:
+        obj = importlib.import_module(module)
+        for attr in chain:
+            assert hasattr(obj, attr), f"{module}.{'.'.join(chain)}"
+            obj = getattr(obj, attr)

@@ -49,6 +49,14 @@ class TestMetrics:
         with pytest.raises(ContractError):
             metric("auroc", [0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("scores, labels, found", [
+        ([0.5, 0.3, 0.1], [0, 1, 2], r"\[0, 1, 2\]"),
+        ([0.1, 0.9, 0.5, 0.7, 0.2], [0, 1, 2, 3, 1], r"\[0, 1, 2, 3\]"),
+    ], ids=["three-classes", "four-classes"])
+    def test_auroc_non_binary_labels_rejected(self, scores, labels, found):
+        with pytest.raises(ContractError, match=found):
+            metric("auroc", scores, labels)
+
     def test_nrmse_oracle(self):
         t = np.array([3.0, 4.0])          # RMS = sqrt(12.5)
         p = np.array([3.0, 5.0])          # RMSE = sqrt(0.5)

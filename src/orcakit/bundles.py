@@ -148,8 +148,11 @@ def load_csv(path, label_column: str | None = None) -> Bundle:
     """Tabular ingestion: numeric columns standardized (population mean/std),
     categorical columns one-hot; the label column defaults to 'label' or the
     last column."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except OSError as exc:
+        raise FormatError(f"CSV {path}: {exc.strerror}") from None
     if len(rows) < 2:
         raise FormatError("CSV needs a header row and at least one data row")
     header = rows[0]

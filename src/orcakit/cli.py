@@ -15,7 +15,7 @@ import numpy as np
 from .bundles import load_bundle, load_csv, save_bundle, synth_task
 from .config import DISTANCE_METRICS, RUN_MODES, ExperimentConfig
 from .distances import LabeledDataset, euclidean_align, mmd, otdd, otdd_subsampled
-from .errors import ContractError, OrcaError
+from .errors import ContractError, FormatError, OrcaError
 from .models import ParameterSet
 from .pipeline import (
     align_embedder,
@@ -189,8 +189,15 @@ def cmd_sweep(args):
 
 
 def cmd_profile(args):
-    with open(args.errors) as f:
-        data = json.load(f)
+    try:
+        with open(args.errors) as f:
+            data = json.load(f)
+    except OSError as exc:
+        raise FormatError(f"errors file {args.errors}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise FormatError(f"errors file {args.errors}: not JSON ({exc})") from None
+    if not isinstance(data, dict) or "errors" not in data:
+        raise FormatError(f"errors file {args.errors}: expected an object with 'errors'")
     curves = performance_profile(data["errors"], data.get("methods"))
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "profiles.csv")
@@ -244,7 +251,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("distance", help="distance between two bundles")
-    sp.add_argument("--metric", required=True, choices=DISTANCE_METRICS)
+    sp.add_argument("--metric", required=True, choices=(*DISTANCE_METRICS, "otdd-gaussian"))
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--seed", type=int, default=0)

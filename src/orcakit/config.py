@@ -39,7 +39,7 @@ def run_mode(name: str) -> RunMode:
     return RUN_MODES[name]
 
 
-DISTANCE_METRICS = ("otdd", "otdd-gaussian", "otdd-sub", "mmd", "euclidean")
+DISTANCE_METRICS = ("otdd", "otdd-sub", "mmd", "euclidean")
 
 
 # the JSON values a field annotated with each type name takes

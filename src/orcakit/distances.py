@@ -1,6 +1,6 @@
 """Distances between labeled datasets: OTDD (exact / Gaussian / class-wise
-subsampled), MMD, the pairwise-Euclidean alignment baseline, sequence-mean
-feature reduction, and k-means pseudo-labeling."""
+subsampled), RBF MMD, the pairwise-Euclidean alignment baseline, and k-means
+pseudo-labeling."""
 
 from __future__ import annotations
 
@@ -18,14 +18,14 @@ CAP_PER_CLASS = 256  # sample cap per class for exact-mode label distances
 
 @dataclass
 class LabeledDataset:
-    features: np.ndarray  # (n, d) after reduction, or (n, S, D) before
+    features: np.ndarray  # (n, d)
     labels: np.ndarray    # (n,) integer class ids
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
         self.labels = np.asarray(self.labels)
-        if self.features.ndim not in (2, 3):
-            raise ShapeError(f"features must be rank 2 or 3, got {self.features.ndim}")
+        if self.features.ndim != 2:
+            raise ShapeError(f"features must be rank 2, got {self.features.ndim}")
         n = self.features.shape[0]
         if n < 1:
             raise ContractError("dataset must contain at least one sample")
@@ -39,8 +39,6 @@ class LabeledDataset:
         return self.features.shape[0]
 
     def reduced(self) -> np.ndarray:
-        if self.features.ndim == 3:
-            return seq_mean_reduce(self.features)
         return np.asarray(self.features, dtype=np.float64)
 
     def classes(self) -> np.ndarray:
@@ -81,14 +79,6 @@ class DistanceReport:
             "converged": self.converged,
             "wall_time": self.wall_time,
         }
-
-
-def seq_mean_reduce(features: np.ndarray) -> np.ndarray:
-    """(n, S, D) -> (n, D) by averaging along the sequence dimension."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 3:
-        raise ShapeError(f"expected rank-3 features, got rank {features.ndim}")
-    return features.mean(axis=1)
 
 
 def fit_label_conditionals(ds: LabeledDataset, ridge: float | None = None) -> list[ClassConditional]:
@@ -216,7 +206,7 @@ def otdd(
     """OT dataset distance with the label-augmented squared-Euclidean ground
     cost; the report value is the square root of the OT value (p = 2). The
     report counts as converged only if the outer and every class-pair solve
-    converged. Computes no gradient; `otdd_grad` adds one to the same solve."""
+    converged. Computes no gradient; `otdd_grad` adds one to the exact solve."""
     t0 = time.perf_counter()
     value, converged = _otdd_core(tgt, src, mode, eps, seed)[:2]
     return DistanceReport(
@@ -230,24 +220,21 @@ def otdd(
 def otdd_grad(
     tgt: LabeledDataset,
     src: LabeledDataset,
-    mode: str = "exact",
     eps: float | None = None,
     seed: int = 0,
     max_iter: int = 1000,
 ):
-    """`otdd`'s value and its envelope (Danskin) gradient w.r.t. the target's
-    reduced features. Returns (value, grad (n, d), converged).
+    """Exact-mode `otdd`'s value and its envelope (Danskin) gradient w.r.t.
+    the target's reduced features. Returns (value, grad (n, d), converged).
 
-    All transport plans (the outer coupling and, in exact mode, the inner
-    class-pair couplings behind the label costs) are held fixed at their
-    entropic optima; the gradient flows only through the quadratic cost terms.
-    It matches central differences of the value where no plan moves with the
+    All transport plans (the outer coupling and the inner class-pair
+    couplings behind the label costs) are held fixed at their entropic
+    optima; the gradient flows only through the quadratic cost terms. It
+    matches central differences of the value where no plan moves with the
     cost: when the marginals fix the plans (to 1e-5 or better) or as eps -> 0.
-    Gaussian mode leaves out the gradient of the Bures label costs; on plans
-    the marginals fix, that frozen term shows relative errors of 0.5-1.0.
     """
     value, converged, plan, zt, zs, rows, cols, pairs = _otdd_core(
-        tgt, src, mode, eps, seed, max_iter)
+        tgt, src, "exact", eps, seed, max_iter)
     pi = plan.matrix
     grad = 2.0 * (pi.sum(axis=1)[:, None] * zt - pi @ zs)
     # the outer plan's mass on each class pair weights that pair's inner gradient
@@ -274,7 +261,7 @@ def check_subsample(b, rounds) -> bool:
     return full
 
 
-def _subsampled(tgt, src, b, rounds, seed, mode, eps, with_grad):
+def _subsampled(tgt, src, b, rounds, seed, eps, with_grad):
     """Shared body of `otdd_subsampled` and `otdd_subsampled_grad`: the
     class-wise draws, from the RNG stream ("otdd_sub", label, round), and
     their weighted distances. Returns (value, grad or None, per-class values,
@@ -282,7 +269,7 @@ def _subsampled(tgt, src, b, rounds, seed, mode, eps, with_grad):
     full = check_subsample(b, rounds)
     per_class: dict[int, float] = {}
     weights: dict[int, float] = {}
-    grad = np.zeros((tgt.n, tgt.features.shape[-1])) if with_grad else None
+    grad = np.zeros(tgt.features.shape) if with_grad else None
     converged = True
     for label in tgt.classes():
         idx = np.flatnonzero(tgt.labels == label)
@@ -295,11 +282,11 @@ def _subsampled(tgt, src, b, rounds, seed, mode, eps, with_grad):
                 rng.choice(idx, size=b_eff, replace=idx.size < b_eff))
             ds_sub = LabeledDataset(tgt.features[sub], tgt.labels[sub])
             if with_grad:
-                v, g, ok = otdd_grad(ds_sub, src, mode=mode, eps=eps, seed=seed)
+                v, g, ok = otdd_grad(ds_sub, src, eps=eps, seed=seed)
                 # a draw with replacement repeats rows; each copy adds its share
                 np.add.at(grad, sub, (weight / rounds) * g)
             else:
-                rep = otdd(ds_sub, src, mode=mode, eps=eps, seed=seed)
+                rep = otdd(ds_sub, src, eps=eps, seed=seed)
                 v, ok = rep.value, rep.converged
             converged = converged and ok
             vals.append(v)
@@ -314,10 +301,9 @@ def otdd_subsampled(
     b: int,
     rounds: int = 1,
     seed: int = 0,
-    mode: str = "exact",
     eps: float | None = None,
 ) -> DistanceReport:
-    """Class-wise subsampled OTDD approximation.
+    """Class-wise subsampled exact-mode OTDD approximation.
 
     Per class i: draw `b` samples uniformly without replacement (`rounds`
     times; with replacement when the class is smaller than `b`), average the
@@ -327,7 +313,7 @@ def otdd_subsampled(
     """
     t0 = time.perf_counter()
     value, _, per_class, weights, converged = _subsampled(
-        tgt, src, b, rounds, seed, mode, eps, with_grad=False)
+        tgt, src, b, rounds, seed, eps, with_grad=False)
     return DistanceReport(
         metric="otdd-subsampled",
         value=value,
@@ -339,12 +325,12 @@ def otdd_subsampled(
 
 
 def otdd_subsampled_grad(tgt: LabeledDataset, src: LabeledDataset, b: int, rounds: int = 1,
-                         seed: int = 0, mode: str = "exact", eps: float | None = None):
+                         seed: int = 0, eps: float | None = None):
     """`otdd_subsampled`'s value, from the same draws, and its gradient
     w.r.t. the target's reduced features: each draw's `otdd_grad`, weighted
     like its value. Returns (value, grad (n, d), converged)."""
     value, grad, _, _, converged = _subsampled(
-        tgt, src, b, rounds, seed, mode, eps, with_grad=True)
+        tgt, src, b, rounds, seed, eps, with_grad=True)
     return value, grad, converged
 
 
@@ -361,7 +347,7 @@ def _rbf_mmd(a: np.ndarray, b: np.ndarray, bandwidth):
     (value, bandwidth, K(a, a), K(a, b))."""
     pooled = np.vstack([a, b])
     sq = pairwise_sq_dists(pooled, pooled)
-    if bandwidth is None or bandwidth == "auto":
+    if bandwidth is None:
         med = float(np.median(np.sqrt(sq[np.triu_indices_from(sq, k=1)])))
         bandwidth = med if med > 0 else 1.0
     if bandwidth <= 0:
@@ -374,20 +360,12 @@ def _rbf_mmd(a: np.ndarray, b: np.ndarray, bandwidth):
     return value, bandwidth, k_aa, k_ab
 
 
-def mmd(a: np.ndarray, b: np.ndarray, kernel: str = "rbf", bandwidth=None) -> float:
-    """Biased (V-statistic) MMD between samples, reported as sqrt(MMD^2).
-
-    RBF bandwidth defaults to the median pairwise distance of the pooled
-    sample; the linear kernel reduces to the mean-embedding distance."""
+def mmd(a: np.ndarray, b: np.ndarray, bandwidth=None) -> float:
+    """Biased (V-statistic) RBF MMD between samples, reported as sqrt(MMD^2).
+    The bandwidth defaults to the median pairwise distance of the pooled
+    sample."""
     a, b = _as_pair(a, b, "mmd")
-    if kernel == "rbf":
-        return _rbf_mmd(a, b, bandwidth)[0]
-    if kernel != "linear":
-        raise ContractError(f"unknown kernel {kernel!r}")
-    k_aa = float(np.mean(a @ a.T))
-    k_bb = float(np.mean(b @ b.T))
-    k_ab = float(np.mean(a @ b.T))
-    return float(np.sqrt(max(k_aa + k_bb - 2.0 * k_ab, 0.0)))
+    return _rbf_mmd(a, b, bandwidth)[0]
 
 
 def mmd_grad(a: np.ndarray, b: np.ndarray, bandwidth=None):
@@ -409,23 +387,19 @@ def mmd_grad(a: np.ndarray, b: np.ndarray, bandwidth=None):
     return value, grad
 
 
-def euclidean_align(a: np.ndarray, b: np.ndarray, seed: int | None = 0) -> float:
+def euclidean_align(a: np.ndarray, b: np.ndarray, seed: int = 0) -> float:
     """Mean squared Euclidean distance over min(n, m) random disjoint
-    pairings; seed=None keeps both sides in index order (identity pairing)."""
+    pairings."""
     return euclidean_align_grad(a, b, seed)[0]
 
 
-def euclidean_align_grad(a: np.ndarray, b: np.ndarray, seed: int | None = 0):
+def euclidean_align_grad(a: np.ndarray, b: np.ndarray, seed: int = 0):
     """`euclidean_align` and its gradient w.r.t. `a`. Returns (value, grad (n, d))."""
     a, b = _as_pair(a, b, "euclidean_align")
     k = min(a.shape[0], b.shape[0])
-    if seed is None:
-        ia = np.arange(k)
-        ib = np.arange(k)
-    else:
-        rng = make_rng(seed, "euclid_pairing")
-        ia = rng.permutation(a.shape[0])[:k]
-        ib = rng.permutation(b.shape[0])[:k]
+    rng = make_rng(seed, "euclid_pairing")
+    ia = rng.permutation(a.shape[0])[:k]
+    ib = rng.permutation(b.shape[0])[:k]
     diff = a[ia] - b[ib]
     grad = np.zeros_like(a)
     grad[ia] = 2.0 * diff / k

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import nn
 from .bundles import Bundle, has_artifact, load_bundle, save_bundle
 from .config import AlignConfig, ExperimentConfig, StageConfig, run_mode
 from .distances import (
@@ -103,15 +104,13 @@ class Optimizer:
 
 def softmax_ce(logits, labels, class_weights):
     """Weighted cross-entropy; returns (loss, grad wrt logits)."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p, _ = nn.softmax_fw(logits)
     n = labels.shape[0]
     w = class_weights[labels]
     wsum = w.sum()
     ll = -np.log(np.maximum(p[np.arange(n), labels], 1e-30))
     loss = float(np.sum(w * ll) / wsum)
-    grad = p.copy()
+    grad = p
     grad[np.arange(n), labels] -= 1.0
     grad *= (w / wsum)[:, None]
     return loss, grad
@@ -142,7 +141,8 @@ def embedder_for_bundle(bundle: Bundle, cfg: ExperimentConfig, seed: int):
     m = cfg.model
     shape = bundle.features.shape[1:]
     if len(shape) == 3:
-        # pick the patch size whose grid fills the body sequence
+        # the patch size is pinned to model.source_patch, and the resize
+        # target is the bundle's own extents, not the body's pretraining one
         return build_embedder(shape, m.embed_dim, m.seq_len,
                               body_patch=m.source_patch,
                               body_resolution=shape[1:], seed=seed)
@@ -198,9 +198,7 @@ def evaluate(model: Model, bundle: Bundle, metric_name: str, batch_size=64) -> f
         preds.append(out)
     preds = np.concatenate(preds, axis=0)
     if metric_name == "auroc":
-        z = preds - preds.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        scores = (p / p.sum(axis=1, keepdims=True))[:, 1]
+        scores = nn.softmax_fw(preds)[0][:, 1]
         return eval_metric("auroc", scores, bundle.labels).value
     return eval_metric(metric_name, preds, bundle.labels).value
 
@@ -286,6 +284,8 @@ def cache_source(model: Model, source: Bundle, n: int | None = None, seed: int =
     defaults to min(5000, source.n); a larger `n` draws with replacement."""
     if n is None:
         n = min(5000, source.n)
+    if n < 1:
+        raise ContractError(f"cache size must be >= 1, got {n}")
     rng = make_rng(seed, "cache_source")
     flags = []
     if n > source.n:
@@ -335,12 +335,11 @@ def _alignment_loss_grad(z, labels, src_ds: LabeledDataset, stage: AlignConfig,
     the source cache: (value, gradient w.r.t. z, converged)."""
     metric = stage.distance_metric
     tgt = LabeledDataset(z, labels)
-    if metric in ("otdd", "otdd-gaussian"):
-        mode = "gaussian" if metric == "otdd-gaussian" else "exact"
-        return otdd_grad(tgt, src_ds, mode=mode, eps=stage.eps, seed=step_seed)
+    if metric == "otdd":
+        return otdd_grad(tgt, src_ds, eps=stage.eps, seed=step_seed)
     if metric == "mmd":
         return (*mmd_grad(z, src_ds.reduced()), True)
-    # these two hand the embedder a gradient in z's dtype, the three above a
+    # these two hand the embedder a gradient in z's dtype, the two above a
     # float64 one; making them agree would change the aligned checkpoints
     if metric == "otdd-sub":
         value, grad, converged = otdd_subsampled_grad(
@@ -354,7 +353,7 @@ def _alignment_loss_grad(z, labels, src_ds: LabeledDataset, stage: AlignConfig,
 
 
 def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: ParameterSet,
-                   stage: AlignConfig, align_labels: np.ndarray | None = None):
+                   stage: AlignConfig):
     """Stage 2: minimize the configured distance between embedded target
     batches and the cached source features. Only embedder tensors move.
 
@@ -365,9 +364,8 @@ def align_embedder(target: Bundle, cache: Bundle, emb_spec, emb_params: Paramete
     exact OTDD left a Sinkhorn solve unconverged.
     """
     src_ds = cache_dataset(cache)
-    if align_labels is None:
-        align_labels = target_labels_for_alignment(
-            target, emb_spec, emb_params, cache.classes, stage.seed)
+    align_labels = target_labels_for_alignment(
+        target, emb_spec, emb_params, cache.classes, stage.seed)
     t0 = time.perf_counter()
     converged = True
     n_steps = 0

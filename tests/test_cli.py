@@ -38,6 +38,13 @@ class TestBasics:
         assert exc.value.code == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_align_rejects_otdd_gaussian(self, capsys):
+        # `orcakit distance` still takes it; alignment has no gradient for it
+        with pytest.raises(SystemExit) as exc:
+            main(["align", "--config", "cfg.json", "--metric", "otdd-gaussian"])
+        assert exc.value.code == 1
+        assert "otdd-gaussian" in capsys.readouterr().err
+
     def test_contract_error_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "synth", "--kind", "blobs2d",
                                "--classes", "9", "--out", str(tmp_path / "b"))
@@ -148,6 +155,29 @@ class TestStages:
         code, _, err = run_cli(capsys, "refine", "--config", cfg, "--mode", "naive-ft",
                                "--train-fraction", "0")
         assert code == 1 and "train_fraction" in err
+
+    @pytest.mark.parametrize("argv,files,says", [
+        (["cache-source", "--config", "{cfg}", "--n", "0"], {}, "cache size"),
+        (["cache-source", "--config", "{cfg}", "--n", "-3"], {}, "cache size"),
+        (["profile", "--errors", "{tmp}/missing.json", "--out", "{tmp}/p"], {},
+         "{tmp}/missing.json"),
+        (["profile", "--errors", "{tmp}/e.json", "--out", "{tmp}/p"],
+         {"e.json": '{"methods": ["a"]}'}, "{tmp}/e.json"),
+        (["profile", "--errors", "{tmp}/e.json", "--out", "{tmp}/p"],
+         {"e.json": "errors,a\n1,2\n"}, "{tmp}/e.json"),
+        (["ingest-csv", "--csv", "{tmp}/missing.csv", "--out", "{tmp}/b"], {},
+         "{tmp}/missing.csv"),
+    ], ids=["cache-n-zero", "cache-n-negative", "profile-missing", "profile-no-errors",
+            "profile-not-json", "csv-missing"])
+    def test_bad_outside_input_exits_one(self, capsys, workdir, argv, files, says):
+        tmp_path, cfg = workdir
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        if argv[0] == "cache-source":
+            assert run_cli(capsys, "pretrain", "--config", cfg)[0] == 0
+        code, _, err = run_cli(capsys, *(a.format(cfg=cfg, tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert err.startswith("error: ") and says.format(tmp=tmp_path) in err
 
     def test_cache_source_defaults_to_the_whole_source(self, capsys, workdir):
         tmp_path, cfg = workdir

@@ -41,6 +41,7 @@ class TestStageConfig:
         ("pretrain", "schedule_period", 0, "schedule_period"),
         ("align", "eps", -1, "eps"),
         ("align", "eps", 0.0, "eps"),
+        ("align", "distance_metric", "otdd-gaussian", "distance metric 'otdd-gaussian'"),
         ("refine", "metric", "acc", "metric 'acc'"),
         ("align", "subsample_b", "half", "subsample size"),
         ("align", "subsample_rounds", 0, "rounds"),

@@ -270,7 +270,6 @@ class TestAlignment:
 
     @pytest.mark.parametrize("metric,extra", [
         ("otdd-sub", {"subsample_b": 4}),
-        ("otdd-gaussian", {}),
         ("mmd", {}),
         ("euclidean", {}),
     ])
@@ -367,21 +366,17 @@ def test_alignment_objective_is_the_library(metric, b):
         if metric == "otdd-sub":
             ref = otdd_subsampled(tgt, src, b=b, seed=3).value
         else:
-            mode = "gaussian" if metric == "otdd-gaussian" else "exact"
-            ref = otdd(tgt, src, mode=mode, seed=3).value
+            ref = otdd(tgt, src, seed=3).value
         assert value == pytest.approx(ref, rel=1e-12, abs=0)
     assert grad.shape == z.shape
 
     # Finite differences. The envelope gradient is the exact gradient of the
     # OTDD value only where no transport plan moves with the cost, so a
     # one-row source, which fixes every plan by its marginals, checks the
-    # gradient's assembly at default settings. The Gaussian label-cost
-    # gradient and the median bandwidth's dependence on z are left out by
-    # design (see `otdd_grad` and `mmd_grad`); MMD is checked at a fixed
-    # bandwidth instead.
+    # gradient's assembly at default settings. The median bandwidth's
+    # dependence on z is left out by design (see `mmd_grad`); MMD is checked
+    # at a fixed bandwidth instead.
     fd_rng = make_rng(32, "fd")
-    if metric == "otdd-gaussian":
-        return
     if metric == "mmd":
         value, grad = mmd_grad(z, zs, bandwidth=1.5)
         err = fd_check(lambda p: mmd_grad(p["z"], zs, bandwidth=1.5)[0],

@@ -1,12 +1,17 @@
 """Metrics, performance profiles, and run-record serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orcakit
 from orcakit.errors import ContractError
 from orcakit.report import (
     canonical_record,
@@ -169,6 +174,25 @@ class TestRunRecords:
         jsonschema = pytest.importorskip("jsonschema")
         write_report(self._record(), tmp_path)
         jsonschema.validate(read_report(tmp_path), report_schema())
+
+    def test_runs_without_jsonschema(self, tmp_path):
+        # jsonschema is a test dependency: the library and CLI must import,
+        # and reports round-trip, where it is not installed
+        script = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "import orcakit, orcakit.cli\n"
+            "from orcakit.report import read_report, write_report\n"
+            f"rec = {self._record()!r}\n"
+            f"write_report(rec, {str(tmp_path)!r})\n"
+            f"assert read_report({str(tmp_path)!r}) == rec\n"
+        )
+        src = str(Path(orcakit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_schema_rejects_missing_epochs(self):
         jsonschema = pytest.importorskip("jsonschema")
